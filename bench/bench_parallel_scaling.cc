@@ -6,8 +6,9 @@
 //   imb           root-branch sharding of the set-enumeration tree
 //   itraversal    connected-component sharding (multi-component graph,
 //   large-mbp     thresholds chosen so the component plan is safe)
-//   itraversal    work-stealing expansion scheduler (one dense component
-//   btraversal    that component sharding cannot split)
+//
+// A traversal-family request on one connected component has no parallel
+// plan (it runs the sequential engine), so no row times it.
 //
 // Each row reports wall seconds, the speedup over the 1-thread run, and
 // the delivered solution count — which must be identical down the column;
@@ -91,26 +92,6 @@ std::vector<Workload> MakeWorkloads(bool quick) {
     w.request.algorithm = "large-mbp";
     w.request.theta_left = 4;
     w.request.theta_right = 4;
-    out.push_back(std::move(w));
-  }
-  // One dense connected component with no size thresholds: the component
-  // plan is both unsafe (thetas do not exclude cross-component MBPs) and
-  // useless (one shard), so these rows exercise the work-stealing
-  // traversal scheduler.
-  {
-    Workload w;
-    w.name = "itraversal (work stealing, one dense component)";
-    const size_t side = quick ? 9 : 11;
-    w.graph = ErdosRenyiProbBipartite(side, side, 0.6, &rng);
-    w.request.algorithm = "itraversal";
-    out.push_back(std::move(w));
-  }
-  {
-    Workload w;
-    w.name = "btraversal (work stealing, one dense component)";
-    const size_t side = quick ? 9 : 10;
-    w.graph = ErdosRenyiProbBipartite(side, side, 0.6, &rng);
-    w.request.algorithm = "btraversal";
     out.push_back(std::move(w));
   }
   return out;

@@ -5,9 +5,11 @@ For every BENCH_*.json tracked at HEAD, fetches the same file at HEAD~1
 (via `git show`) and compares per-record wall_seconds and, when present,
 the serving counters requests_per_sec / p50_s / p99_s. A record regresses
 when it got slower (or lower-throughput) beyond TOLERANCE. Records are
-matched by their "name" label; added or removed records are reported but
-never fail the check, and a file with no previous version is skipped —
-the first commit of a bench cannot regress.
+matched by their "name" and "dataset" labels together (one bench can
+time the same algorithm/threads name on several datasets); added or
+removed records are reported but never fail the check, and a file with
+no previous version is skipped — the first commit of a bench cannot
+regress.
 
 Bench numbers come from shared CI runners, so the tolerance is generous:
 this check catches "accidentally quadratic", not single-digit noise.
@@ -61,7 +63,10 @@ def load_previous(path):
 
 
 def records_by_name(doc):
-    return {r["name"]: r for r in doc.get("records", []) if "name" in r}
+    """Keys records by "name [dataset]" so that equal names on different
+    datasets neither shadow each other nor get compared across datasets."""
+    return {f"{r['name']} [{r.get('dataset', '')}]": r
+            for r in doc.get("records", []) if "name" in r}
 
 
 def ratio_regressed(old, new, direction):

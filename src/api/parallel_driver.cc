@@ -7,10 +7,9 @@
 #include <utility>
 #include <vector>
 
-#include "api/parallel_support.h"
-#include "api/traversal_scheduler.h"
 #include "baselines/imb.h"
 #include "core/brute_force.h"
+#include "core/traversal_options.h"
 #include "graph/components.h"
 #include "util/cancellation.h"
 #include "util/sync.h"
@@ -21,6 +20,112 @@
 namespace kbiplex {
 namespace internal {
 namespace {
+
+// ------------------------------------------------- shared by the plans ---
+
+/// The workers' shared delivery point: serializes sink access, counts
+/// delivered solutions with an atomic, and turns a global stop condition
+/// (result cap, sink refusal) into a cancellation visible to every worker.
+class SharedDelivery {
+ public:
+  SharedDelivery(const EnumerateRequest& request, SolutionSink* sink,
+                 CancellationToken* stop)
+      : request_(request), sink_(sink), stop_(stop) {}
+
+  /// Thread-safe Deliver with the same semantics as the sequential
+  /// facade: threshold filter, then sink, then the result cap; a solution
+  /// counts as delivered only once the sink accepted it.
+  bool Deliver(const Biplex& b) {
+    if (b.left.size() < request_.theta_left ||
+        b.right.size() < request_.theta_right) {
+      return true;
+    }
+    MutexLock lock(&mu_);
+    if (stopped_) return false;
+    if (!sink_->Accept(b)) {
+      Stop();
+      return false;
+    }
+    const uint64_t n = delivered_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (request_.max_results != 0 && n >= request_.max_results) {
+      Stop();
+      return false;
+    }
+    return true;
+  }
+
+  uint64_t delivered() const {
+    return delivered_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  void Stop() KBIPLEX_REQUIRES(mu_) {
+    stopped_ = true;
+    stop_->Cancel();
+  }
+
+  const EnumerateRequest& request_;
+  SolutionSink* const sink_ KBIPLEX_PT_GUARDED_BY(mu_);
+  CancellationToken* const stop_;  // CancellationToken is atomic
+  Mutex mu_;
+  std::atomic<uint64_t> delivered_{0};
+  bool stopped_ KBIPLEX_GUARDED_BY(mu_) = false;
+};
+
+/// Collects the first error raised by any worker (engine rejection or a
+/// propagated exception; engines do not throw in normal operation).
+class ErrorCollector {
+ public:
+  void Record(const std::string& error) {
+    if (error.empty()) return;
+    MutexLock lock(&mu_);
+    if (error_.empty()) error_ = error;
+  }
+
+  std::string Take() {
+    MutexLock lock(&mu_);
+    return error_;
+  }
+
+ private:
+  Mutex mu_;
+  std::string error_ KBIPLEX_GUARDED_BY(mu_);
+};
+
+/// Adds worker-local traversal counters into an accumulator. `completed`
+/// holds iff every contribution completed; `seconds` add up (aggregate
+/// worker time, not wall clock); stack depths take the maximum.
+void MergeInto(TraversalStats* into, const TraversalStats& s) {
+  into->solutions_found += s.solutions_found;
+  into->solutions_emitted += s.solutions_emitted;
+  into->links += s.links;
+  into->links_pruned_right_shrinking += s.links_pruned_right_shrinking;
+  into->links_pruned_exclusion += s.links_pruned_exclusion;
+  into->almost_sat_graphs += s.almost_sat_graphs;
+  into->local_solutions += s.local_solutions;
+  into->dedup_hits += s.dedup_hits;
+  into->candidates_generated += s.candidates_generated;
+  into->candidates_pruned += s.candidates_pruned;
+  into->local_stats.b_subsets += s.local_stats.b_subsets;
+  into->local_stats.a_subsets += s.local_stats.a_subsets;
+  into->local_stats.local_solutions += s.local_stats.local_solutions;
+  into->local_stats.adjacency_tests += s.local_stats.adjacency_tests;
+  into->completed = into->completed && s.completed;
+  into->seconds += s.seconds;  // aggregate worker time, not wall clock
+  into->max_stack_depth = std::max(into->max_stack_depth, s.max_stack_depth);
+}
+
+/// The time budget is global: a shard dequeued late must not restart the
+/// clock, so each one gets the budget *remaining* on the driver's timer
+/// when it actually starts. Returns false when the budget is already
+/// spent and the shard should not run at all.
+bool RemainingBudget(const EnumerateRequest& request, const WallTimer& timer,
+                     double* remaining) {
+  *remaining = 0;  // 0 = unlimited
+  if (request.time_budget_seconds <= 0) return true;
+  *remaining = request.time_budget_seconds - timer.ElapsedSeconds();
+  return *remaining > 0;
+}
 
 /// Runs `body` as a pool task, converting an escaping exception into a
 /// recorded error instead of a process abort.
@@ -248,15 +353,11 @@ class MappingSink final : public SolutionSink {
   const InducedSubgraph& component_;
 };
 
-/// `min_shards` is the number of eligible components below which the plan
-/// declines: 2 (the historical floor — any split beats none) when this is
-/// the only parallel plan for the algorithm, `threads` when a
-/// work-stealing fallback exists and a component split that cannot keep
-/// every worker busy should yield to it.
+/// One shard per component large enough to hold a solution; nullopt (run
+/// sequentially) when sharding is unsafe or fewer than two shards remain.
 std::optional<EnumerateStats> TryRunParallelComponents(
     const PreparedGraph& prepared, const EnumerateRequest& request,
-    const AlgorithmRegistry& registry, size_t threads, SolutionSink* sink,
-    size_t min_shards) {
+    const AlgorithmRegistry& registry, size_t threads, SolutionSink* sink) {
   if (!ComponentShardingIsSafe(request.k, request.theta_left,
                                request.theta_right)) {
     return std::nullopt;
@@ -291,9 +392,7 @@ std::optional<EnumerateStats> TryRunParallelComponents(
       shard_of[c] = num_shards++;
     }
   }
-  if (static_cast<size_t>(num_shards) < std::max<size_t>(2, min_shards)) {
-    return std::nullopt;
-  }
+  if (num_shards < 2) return std::nullopt;
 
   // Every component, materialized once on the prepared graph and shared
   // by all subsequent component-sharded queries; this query only indexes
@@ -414,27 +513,6 @@ std::optional<EnumerateStats> TryRunParallel(const PreparedGraph& prepared,
     if (g.NumLeft() + g.NumRight() == 1) return std::nullopt;
     return RunParallelImb(g, request, threads, sink);
   }
-  // Traversal family: prefer component sharding when the split alone can
-  // keep every worker busy; otherwise parallelize *inside* the (possibly
-  // single) component with the work-stealing expansion scheduler, which
-  // needs no sharding-safety precondition. A partial component split
-  // (2 <= shards < threads) remains the last resort for requests the
-  // scheduler declines (backend options, max_links).
-  if (info.name == "itraversal" || info.name == "itraversal-es" ||
-      info.name == "itraversal-es-rs" || info.name == "btraversal" ||
-      info.name == "large-mbp") {
-    if (auto components = TryRunParallelComponents(
-            prepared, request, registry, threads, sink,
-            /*min_shards=*/threads)) {
-      return components;
-    }
-    if (auto scheduled =
-            TryRunTraversalScheduler(g, request, info.name, threads, sink)) {
-      return scheduled;
-    }
-    return TryRunParallelComponents(prepared, request, registry, threads,
-                                    sink, /*min_shards=*/2);
-  }
   // Like the component plan's max_links guard, the inflation baseline's
   // max_inflated_edges is a per-enumeration memory guard: copying it into
   // every component shard would multiply the allowed blow-up and flip OUT
@@ -443,8 +521,11 @@ std::optional<EnumerateStats> TryRunParallel(const PreparedGraph& prepared,
       request.backend_options.count("max_inflated_edges") != 0) {
     return std::nullopt;
   }
-  return TryRunParallelComponents(prepared, request, registry, threads,
-                                  sink, /*min_shards=*/2);
+  // Everything else, the traversal family included: component sharding
+  // when it is safe and yields two or more shards, else the sequential
+  // engine. Splitting one component would have to turn off iTraversal's
+  // path-dependent exclusion strategy, which costs more than it gains.
+  return TryRunParallelComponents(prepared, request, registry, threads, sink);
 }
 
 }  // namespace internal

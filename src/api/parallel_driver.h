@@ -12,20 +12,16 @@
 //                   top-level branches are independent, so a partition of
 //                   them across workers is disjoint and complete. Always
 //                   available.
-//   traversal       work-stealing expansion (api/traversal_scheduler.h):
-//   family,         workers expand one solution per task with private
-//   large-mbp       sequential engines, deduplicating through a shared
-//                   store — correct on any graph, including the dense
-//                   single-component case sharding cannot touch. Chosen
-//                   when component sharding (below) cannot keep every
-//                   worker busy.
 //   everything else connected-component sharding: each worker enumerates
 //   (traversal      one component's induced subgraph. Only equivalent
 //   family,         when the size thresholds provably exclude solutions
 //   large-mbp,      spanning several components (see
-//   inflation)      ComponentShardingIsSafe); otherwise the facade falls
-//                   back to the sequential path rather than risk a wrong
-//                   answer.
+//   inflation)      ComponentShardingIsSafe), and only useful when at
+//                   least two components can host a solution; otherwise
+//                   the facade runs the sequential engine. There is no
+//                   split inside one component: it would have to turn off
+//                   iTraversal's path-dependent exclusion strategy, and
+//                   the extra links cost more than the workers gain.
 //
 // Global budgets stay global: workers share one Delivery guarding the
 // caller's sink with a mutex and counting delivered solutions atomically;

@@ -24,11 +24,7 @@ class TraversalEngine::Impl {
       : g_(g), opts_(opts), extender_(g, opts.k) {
     assert(opts.k.left >= 1 && opts.k.right >= 1);
     gen_mode_ = ComputeGenMode();
-    if (opts_.shared_adjacency != nullptr) {
-      accel_ = opts_.shared_adjacency;
-    } else {
-      InitAccel();
-    }
+    InitAccel();
     if (opts_.scratch != nullptr) {
       // Adopt (or install) the session's pooled frame arena and shared
       // EnumAlmostSat workspace so consecutive engines of one session
@@ -194,51 +190,6 @@ class TraversalEngine::Impl {
     stats_.seconds = timer.ElapsedSeconds();
     deadline_ = nullptr;
     return stats_;
-  }
-
-  bool ShouldExpand(const Biplex& h) const {
-    // The Section 5 recursion gate of MakeFrame, from `h` alone: under
-    // right-shrinking traversal every solution reachable below h keeps
-    // its non-anchored side inside h's, so a too-small side is final.
-    if (!opts_.prune_small || !opts_.right_shrinking) return true;
-    const Side other = Opposite(opts_.anchored_side);
-    const size_t theta_other = ThetaOpposite(opts_.anchored_side);
-    return theta_other == 0 || h.SideSet(other).size() >= theta_other;
-  }
-
-  bool ExpandSolution(const Biplex& h, const Deadline* deadline,
-                      const LinkCallback& on_link) {
-    assert(!opts_.exclusion);  // path-dependent state cannot transfer
-    stop_ = false;
-    deadline_ = deadline;
-    link_sink_ = &on_link;
-    if (gen_mode_ != GenMode::kScan) InitConnCounts(h);
-    std::unique_ptr<Frame> f = MakeFrame(h, /*depth=*/0, nullptr);
-    if (f->recurse) {
-      size_t iter = 0;
-      while (!stop_ && NextBatch(f.get())) {
-        // handle_local routed every link to the sink; nothing batches.
-        f->batch.clear();
-        f->batch_pos = 0;
-        f->batch_active = false;
-        if ((++iter & 0xfu) == 0 &&
-            ((deadline_ != nullptr && deadline_->Expired()) ||
-             Cancelled(opts_.cancel))) {
-          stop_ = true;
-          stats_.completed = false;
-        }
-      }
-    }
-    frame_pool_->Release(std::move(f));
-    link_sink_ = nullptr;
-    deadline_ = nullptr;
-    return !stop_;
-  }
-
-  TraversalStats TakeExpandStats() {
-    TraversalStats out = stats_;
-    stats_ = TraversalStats();
-    return out;
   }
 
  private:
@@ -668,16 +619,6 @@ class TraversalEngine::Impl {
         stats_.completed = false;
         return false;
       }
-      if (link_sink_ != nullptr) {
-        // Parallel expansion: the caller owns dedup and scheduling; hand
-        // the link over instead of recursing locally.
-        if (!(*link_sink_)(std::move(sol))) {
-          stop_ = true;
-          stats_.completed = false;
-          return false;
-        }
-        return true;
-      }
       if (store_->Insert(sol)) {
         ++stats_.solutions_found;
         f->batch.push_back(std::move(sol));
@@ -762,8 +703,6 @@ class TraversalEngine::Impl {
   EnumAlmostSatWorkspace* local_ws_ = &own_ws_;
   GenMode gen_mode_ = GenMode::kScan;
   std::vector<uint32_t> conn_[2];  // per-side |Γ(w) ∩ H(other)| counters
-  // Parallel-expansion link sink; non-null only inside ExpandSolution.
-  const LinkCallback* link_sink_ = nullptr;
 
   friend class TraversalEngine;
 };
@@ -780,19 +719,6 @@ TraversalStats TraversalEngine::Run(const SolutionCallback& cb) {
 
 Biplex TraversalEngine::InitialSolution() const {
   return impl_->InitialSolution();
-}
-
-bool TraversalEngine::ShouldExpand(const Biplex& h) const {
-  return impl_->ShouldExpand(h);
-}
-
-bool TraversalEngine::ExpandSolution(const Biplex& h, const Deadline* deadline,
-                                     const LinkCallback& on_link) {
-  return impl_->ExpandSolution(h, deadline, on_link);
-}
-
-TraversalStats TraversalEngine::TakeExpandStats() {
-  return impl_->TakeExpandStats();
 }
 
 }  // namespace kbiplex

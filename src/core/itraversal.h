@@ -21,14 +21,8 @@
 
 namespace kbiplex {
 
-class Deadline;  // util/timer.h
-
 /// Receives each enumerated maximal k-biplex; return false to stop.
 using SolutionCallback = std::function<bool(const Biplex&)>;
-
-/// Receives each solution linked from the expanded solution during
-/// ExpandSolution; return false to stop the expansion early.
-using LinkCallback = std::function<bool(Biplex&&)>;
 
 /// Reverse-search enumerator over the solution graph of `g`.
 class TraversalEngine {
@@ -48,35 +42,6 @@ class TraversalEngine {
   /// The deterministic initial solution the configured traversal starts
   /// from (H0 = (L0, R) for the default left-anchored configuration).
   Biplex InitialSolution() const;
-
-  // --- Parallel-expansion hooks (api/traversal_scheduler.cc) ---
-  //
-  // A work-stealing run decomposes the traversal into one task per
-  // discovered solution: ExpandSolution(H) performs exactly the
-  // engine's Steps 1-3 rooted at H (one level of the reverse-search
-  // tree) and reports every linked solution to `on_link`; the caller
-  // owns deduplication (a shared store) and scheduling. Because the
-  // expansion of H depends only on H — connection counters are rebuilt
-  // per call, and the path-dependent exclusion strategy must be off —
-  // the set of solutions reachable from InitialSolution() is the same
-  // closure the sequential Run computes, independent of task order.
-
-  /// True iff the traversal would recurse below `h` (the Section 5
-  /// prune-small gate, evaluated from `h` alone). A caller may skip
-  /// scheduling an expansion task for a solution this rejects.
-  bool ShouldExpand(const Biplex& h) const;
-
-  /// Enumerates every solution linked from `h`, passing each to
-  /// `on_link`. Counters accumulate across calls (TakeExpandStats).
-  /// Requires an exclusion-free configuration. Returns false when
-  /// `on_link` stopped the expansion or `deadline` / the configured
-  /// cancellation token fired.
-  bool ExpandSolution(const Biplex& h, const Deadline* deadline,
-                      const LinkCallback& on_link);
-
-  /// Returns the counters accumulated by ExpandSolution calls since
-  /// construction (or the previous TakeExpandStats) and resets them.
-  TraversalStats TakeExpandStats();
 
  private:
   class Impl;

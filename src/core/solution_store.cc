@@ -1,8 +1,20 @@
 #include "core/solution_store.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace kbiplex {
+namespace {
+
+/// The kBoth cross-check. It stays on in every build type: the backend
+/// exists only to validate the B-tree against the hash set.
+void CheckAgree(bool agree, const char* op) {
+  if (!agree) {
+    throw std::logic_error(
+        std::string("SolutionStore: B-tree and hash set disagree in ") + op);
+  }
+}
+
+}  // namespace
 
 SolutionStore::SolutionStore(StoreBackend backend, size_t btree_order)
     : backend_(backend), tree_(btree_order) {}
@@ -15,10 +27,9 @@ bool SolutionStore::Insert(const Biplex& b) {
     case StoreBackend::kHashSet:
       return hash_.insert(key).second;
     case StoreBackend::kBoth: {
-      bool a = tree_.Insert(key);
-      bool h = hash_.insert(key).second;
-      assert(a == h);
-      return a;
+      const bool added = tree_.Insert(key);
+      CheckAgree(hash_.insert(key).second == added, "Insert");
+      return added;
     }
   }
   return false;
@@ -32,10 +43,9 @@ bool SolutionStore::Contains(const Biplex& b) const {
     case StoreBackend::kHashSet:
       return hash_.count(key) > 0;
     case StoreBackend::kBoth: {
-      bool a = tree_.Contains(key);
-      bool h = hash_.count(key) > 0;
-      assert(a == h);
-      return a;
+      const bool found = tree_.Contains(key);
+      CheckAgree((hash_.count(key) > 0) == found, "Contains");
+      return found;
     }
   }
   return false;
@@ -48,7 +58,7 @@ size_t SolutionStore::Size() const {
     case StoreBackend::kHashSet:
       return hash_.size();
     case StoreBackend::kBoth:
-      assert(tree_.Size() == hash_.size());
+      CheckAgree(tree_.Size() == hash_.size(), "Size");
       return tree_.Size();
   }
   return 0;

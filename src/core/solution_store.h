@@ -19,7 +19,7 @@ namespace kbiplex {
 enum class StoreBackend {
   kBTree,    // the paper's choice
   kHashSet,  // flat hash set of encoded keys
-  kBoth,     // both, with agreement asserted (testing)
+  kBoth,     // both, cross-checked; disagreement throws std::logic_error
 };
 
 /// Insert-only set of solutions keyed by their canonical encoding.
@@ -28,7 +28,9 @@ class SolutionStore {
   explicit SolutionStore(StoreBackend backend = StoreBackend::kBTree,
                          size_t btree_order = 64);
 
-  /// Inserts the solution; returns true iff it was not present.
+  /// Inserts the solution; returns true iff it was not present. Under
+  /// kBoth, Insert, Contains and Size throw std::logic_error when the two
+  /// structures disagree.
   bool Insert(const Biplex& b);
 
   /// True iff the solution is present.

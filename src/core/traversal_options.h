@@ -133,15 +133,8 @@ struct TraversalOptions {
   /// Memory budget (bytes) of an engine-local adjacency index: rows are
   /// demoted to compact sorted arrays, then dropped back to CSR search,
   /// until the index fits (see graph/adjacency_index.h). 0 = unlimited
-  /// (every row dense). Exact-result preserving for any value; ignored
-  /// when shared_adjacency supplies the index.
+  /// (every row dense). Exact-result preserving for any value.
   size_t accel_budget_bytes = 0;
-
-  /// Caller-provided adjacency index; when set it overrides the
-  /// adjacency_accel selection entirely. Not owned and read-only; the
-  /// parallel scheduler builds one index and shares it across all worker
-  /// engines instead of letting each build its own.
-  const AdjacencyIndex* shared_adjacency = nullptr;
 
   /// Optional cross-run scratch (recursion-frame arena + EnumAlmostSat
   /// workspace) reused by consecutive engines of one session; when null

@@ -1,8 +1,6 @@
-// Remaining coverage: logging, edge-case I/O, budget handling of the
-// baselines, quasi-biclique corner cases, inflation guards, and encode
-// stability of the solution key format.
-#include <sstream>
-
+// Remaining coverage: edge-case I/O, budget handling of the baselines,
+// quasi-biclique corner cases, inflation guards, and encode stability of
+// the solution key format.
 #include <gtest/gtest.h>
 
 #include "analysis/quasi_biclique.h"
@@ -12,31 +10,12 @@
 #include "graph/graph_io.h"
 #include "graph/inflation.h"
 #include "test_support.h"
-#include "util/logging.h"
 #include "util/random.h"
 
 namespace kbiplex {
 namespace {
 
 using testing_support::MakeGraph;
-
-// ------------------------------------------------------------- logging ----
-
-TEST(Logging, LevelFilterRoundTrip) {
-  LogLevel before = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  // Emitting below the filter must be a no-op (no crash, no output check
-  // needed beyond not aborting).
-  KBIPLEX_LOG(kDebug) << "suppressed " << 42;
-  SetLogLevel(before);
-}
-
-TEST(Logging, StreamComposesValues) {
-  SetLogLevel(LogLevel::kError);  // silence
-  KBIPLEX_LOG(kInfo) << "x=" << 1 << " y=" << 2.5;
-  SetLogLevel(LogLevel::kInfo);
-}
 
 // ------------------------------------------------------------- graph io ---
 

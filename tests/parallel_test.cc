@@ -1,8 +1,8 @@
 // Tests of the parallel enumeration subsystem: the thread pool, the
-// component decomposition, the thread-safe sink wrapper, cancellation
-// chaining, and — the load-bearing property — that the multi-threaded
-// driver delivers exactly the 1-thread solution set for every registered
-// algorithm.
+// component decomposition, the thread-safe and sorting sink wrappers,
+// cancellation chaining, and — the load-bearing property — that the
+// multi-threaded driver delivers exactly the 1-thread solution set for
+// every registered algorithm.
 #include <atomic>
 #include <set>
 #include <string>
@@ -167,6 +167,10 @@ BipartiteGraph DisjointUnion(const BipartiteGraph& a,
                                    std::move(edges));
 }
 
+/// A dense graph that is one connected component: component sharding
+/// cannot split it, so the traversal family runs the sequential engine.
+BipartiteGraph DenseComponent() { return MakeRandomGraph({7, 7, 0.7, 91}); }
+
 struct ParallelCase {
   KPair k;
   size_t theta_left;
@@ -175,16 +179,25 @@ struct ParallelCase {
 
 TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
   // Multi-component graphs exercise the component plan where it is safe
-  // and the sequential fallback where it is not; the connected graph
-  // exercises the mask/root-range plans and the fallback.
-  std::vector<BipartiteGraph> graphs;
-  graphs.push_back(DisjointUnion(MakeRandomGraph({4, 4, 0.6, 11}),
-                                 MakeRandomGraph({4, 4, 0.7, 12})));
-  graphs.push_back(DisjointUnion(
-      DisjointUnion(MakeRandomGraph({3, 3, 0.8, 13}),
-                    MakeRandomGraph({4, 3, 0.5, 14})),
-      MakeRandomGraph({3, 4, 0.6, 15})));
-  graphs.push_back(MakeRandomGraph({6, 6, 0.5, 16}));
+  // and the sequential fallback where it is not; the connected graphs
+  // exercise the mask/root-range plans and the fallback. Each graph lists
+  // the thread counts it runs at; the dense single component runs at
+  // 2, 4 and 8 so that every count is pinned to the sequential set.
+  struct AgreementInput {
+    BipartiteGraph graph;
+    std::vector<int> threads;
+  };
+  std::vector<AgreementInput> inputs;
+  inputs.push_back({DisjointUnion(MakeRandomGraph({4, 4, 0.6, 11}),
+                                  MakeRandomGraph({4, 4, 0.7, 12})),
+                    {4}});
+  inputs.push_back(
+      {DisjointUnion(DisjointUnion(MakeRandomGraph({3, 3, 0.8, 13}),
+                                   MakeRandomGraph({4, 3, 0.5, 14})),
+                     MakeRandomGraph({3, 4, 0.6, 15})),
+       {4}});
+  inputs.push_back({MakeRandomGraph({6, 6, 0.5, 16}), {4}});
+  inputs.push_back({DenseComponent(), {2, 4, 8}});
 
   const std::vector<ParallelCase> cases = {
       {KPair::Uniform(1), 0, 0},  // unsafe for components: fallback path
@@ -195,8 +208,8 @@ TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
       {KPair{1, 2}, 3, 3},        // asymmetric, traversal family only
   };
   const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
-  for (size_t gi = 0; gi < graphs.size(); ++gi) {
-    Enumerator enumerator(graphs[gi]);
+  for (size_t gi = 0; gi < inputs.size(); ++gi) {
+    Enumerator enumerator(inputs[gi].graph);
     for (const ParallelCase& c : cases) {
       for (const std::string& name : registry.Names()) {
         AlgorithmInfo info = *registry.Find(name);
@@ -215,21 +228,49 @@ TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
         std::vector<Biplex> expect = enumerator.Collect(req, &seq_stats);
         ASSERT_TRUE(seq_stats.ok()) << name << ": " << seq_stats.error;
 
-        EnumerateStats par_stats;
-        req.threads = 4;
-        std::vector<Biplex> got = enumerator.Collect(req, &par_stats);
-        ASSERT_TRUE(par_stats.ok()) << name << ": " << par_stats.error;
-        EXPECT_EQ(par_stats.solutions, seq_stats.solutions) << name;
-        EXPECT_TRUE(par_stats.completed) << name;
-        ASSERT_EQ(got, expect)
-            << name << " graph=" << gi << " k=(" << c.k.left << ","
-            << c.k.right << ") theta=(" << c.theta_left << ","
-            << c.theta_right << ")\ngot:\n"
-            << ToString(got) << "want:\n"
-            << ToString(expect);
+        for (int threads : inputs[gi].threads) {
+          EnumerateStats par_stats;
+          req.threads = threads;
+          std::vector<Biplex> got = enumerator.Collect(req, &par_stats);
+          ASSERT_TRUE(par_stats.ok()) << name << ": " << par_stats.error;
+          EXPECT_EQ(par_stats.solutions, seq_stats.solutions) << name;
+          EXPECT_TRUE(par_stats.completed) << name;
+          ASSERT_EQ(got, expect)
+              << name << " threads=" << threads << " graph=" << gi << " k=("
+              << c.k.left << "," << c.k.right << ") theta=(" << c.theta_left
+              << "," << c.theta_right << ")\ngot:\n"
+              << ToString(got) << "want:\n"
+              << ToString(expect);
+        }
       }
     }
   }
+}
+
+// One component gives the component plan nothing to split, so a
+// traversal-family request runs the sequential engine, exclusion strategy
+// included: its exact work counters equal the 1-thread run's. (A split
+// inside the component would have to drop exclusion and form more links.)
+TEST(ParallelAgreement, SingleComponentKeepsSequentialCounters) {
+  const BipartiteGraph g = DenseComponent();
+  ASSERT_EQ(ConnectedComponents(g).size(), 1u);
+  Enumerator enumerator(g);
+  EnumerateRequest req;
+  req.algorithm = "itraversal";
+  req.threads = 1;
+  EnumerateStats seq;
+  enumerator.Collect(req, &seq);
+  ASSERT_TRUE(seq.ok()) << seq.error;
+  req.threads = 4;
+  EnumerateStats par;
+  enumerator.Collect(req, &par);
+  ASSERT_TRUE(par.ok()) << par.error;
+  ASSERT_TRUE(seq.traversal.has_value());
+  ASSERT_TRUE(par.traversal.has_value());
+  EXPECT_EQ(par.solutions, seq.solutions);
+  EXPECT_EQ(par.traversal->links, seq.traversal->links);
+  EXPECT_EQ(par.traversal->almost_sat_graphs, seq.traversal->almost_sat_graphs);
+  EXPECT_EQ(par.traversal->solutions_found, seq.traversal->solutions_found);
 }
 
 TEST(ParallelAgreement, AutoThreadCountMatchesToo) {
@@ -319,6 +360,65 @@ TEST(ParallelBudgets, NegativeThreadsRejected) {
   EnumerateStats stats = Enumerate(g, req, &sink);
   EXPECT_FALSE(stats.ok());
   EXPECT_NE(stats.error.find("threads"), std::string::npos);
+}
+
+// --------------------------------------------------------- SortingSink ---
+
+TEST(SortingSink, FlushForwardsInCanonicalOrder) {
+  CollectingSink inner(/*sorted=*/false);
+  SortingSink sorter(&inner);
+  EXPECT_TRUE(sorter.ThreadCompatible());
+  EXPECT_TRUE(sorter.Accept(Biplex{{2}, {0}}));
+  EXPECT_TRUE(sorter.Accept(Biplex{{0, 1}, {1}}));
+  EXPECT_TRUE(sorter.Accept(Biplex{{0}, {2}}));
+  EXPECT_EQ(sorter.buffered(), 3u);
+  EXPECT_EQ(inner.size(), 0u);  // nothing forwarded before Flush
+  EXPECT_TRUE(sorter.Flush());
+  EXPECT_EQ(sorter.buffered(), 0u);
+  const std::vector<Biplex> got = inner.Take();
+  const std::vector<Biplex> want = {
+      Biplex{{0}, {2}}, Biplex{{0, 1}, {1}}, Biplex{{2}, {0}}};
+  EXPECT_EQ(got, want);
+}
+
+TEST(SortingSink, InnerRefusalStopsFlushEarly) {
+  int accepted = 0;
+  CallbackSink inner([&](const Biplex&) { return ++accepted < 2; });
+  SortingSink sorter(&inner);
+  sorter.Accept(Biplex{{1}, {1}});
+  sorter.Accept(Biplex{{0}, {0}});
+  sorter.Accept(Biplex{{2}, {2}});
+  EXPECT_FALSE(sorter.Flush());
+  EXPECT_EQ(accepted, 2);  // the refusal consumed the second solution
+  EXPECT_EQ(sorter.buffered(), 0u);  // buffer cleared either way
+}
+
+TEST(SortingSink, MakesParallelStreamOrderDeterministic) {
+  // Two components under safe thresholds, so threads=4 runs the component
+  // plan and delivers in a scheduling-dependent order.
+  const BipartiteGraph g =
+      DisjointUnion(DenseComponent(), MakeRandomGraph({6, 6, 0.7, 92}));
+  Enumerator enumerator(g);
+  EnumerateRequest req;
+  req.algorithm = "itraversal";
+  req.theta_left = 3;
+  req.theta_right = 3;
+  req.threads = 1;
+  CollectingSink seq_inner(/*sorted=*/false);
+  SortingSink seq_sorter(&seq_inner);
+  ASSERT_TRUE(enumerator.Run(req, &seq_sorter).ok());
+  seq_sorter.Flush();
+  const std::vector<Biplex> expect = seq_inner.Take();
+  ASSERT_FALSE(expect.empty());
+
+  req.threads = 4;
+  CollectingSink par_inner(/*sorted=*/false);
+  SortingSink par_sorter(&par_inner);
+  ASSERT_TRUE(enumerator.Run(req, &par_sorter).ok());
+  par_sorter.Flush();
+  // Identical *sequence*, not just set: this is the property the CLI
+  // --sort flag and the wire "sort" key build their byte-stability on.
+  EXPECT_EQ(par_inner.Take(), expect);
 }
 
 // ----------------------------------------------- parallel imb bugfixes --
