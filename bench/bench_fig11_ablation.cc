@@ -36,7 +36,7 @@ Cells RunConfig(BenchJsonWriter* writer, const std::string& row,
     c.links = "UPP";
     c.seconds = "INF";
   } else if (!stats.completed) {
-    c.links = ">" + std::to_string(links);
+    c.links = std::string(">").append(std::to_string(links));
     c.seconds = "INF";
   } else {
     c.links = std::to_string(links);

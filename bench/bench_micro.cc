@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/biplex.h"
@@ -153,6 +154,33 @@ void BM_ExtendToMaximal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExtendToMaximal);
+
+// The right-shrinking filter on non-maximal k-biplexes: maximal ones with
+// one vertex dropped, so both the slackless-member branch and the
+// addable answer are exercised.
+void BM_AnyAddable(benchmark::State& state) {
+  auto g = bench::MakeDataset(bench::FindDataset("Opsahl"));
+  MaximalExtender ext(g, 1);
+  Rng rng(8);
+  std::vector<Biplex> pool;
+  while (pool.size() < 64) {
+    // Seed with a star around a left vertex so the right side is nonempty.
+    const auto v = static_cast<VertexId>(rng.NextBelow(g.NumLeft()));
+    if (g.LeftDegree(v) < 2) continue;
+    auto nbrs = g.LeftNeighbors(v);
+    Biplex b{{v}, {nbrs.begin(), nbrs.end()}};
+    ext.Extend(&b, true, true);
+    sorted::Erase(&b.right, b.right[rng.NextBelow(b.right.size())]);
+    pool.push_back(std::move(b));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const Biplex& b = pool[i++ % pool.size()];
+    benchmark::DoNotOptimize(ext.AnyAddable(b, Side::kRight));
+    benchmark::DoNotOptimize(ext.AnyAddable(b, Side::kLeft));
+  }
+}
+BENCHMARK(BM_AnyAddable);
 
 void BM_ITraversalFirst100(benchmark::State& state) {
   auto g = bench::MakeDataset(bench::FindDataset("Crime"));

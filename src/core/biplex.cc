@@ -20,6 +20,13 @@ uint32_t ReadBigEndian(const char* p) {
          static_cast<uint32_t>(static_cast<unsigned char>(p[3]));
 }
 
+// MaximalExtender scratch encodings: member flag in the connection
+// counters of the side being grown or tested (counts stay below it), and
+// the marks on opposite members in AnyAddable.
+constexpr uint32_t kMemberBit = uint32_t{1} << 31;
+constexpr uint32_t kSlack = 1;
+constexpr uint32_t kSlackless = 2;
+
 }  // namespace
 
 std::string EncodeBiplexKey(const Biplex& b) {
@@ -95,158 +102,175 @@ bool IsMaximalKBiplex(const BipartiteGraph& g, const Biplex& b, KPair k) {
 
 MaximalExtender::MaximalExtender(const BipartiteGraph& g, KPair k)
     : g_(g), k_(k) {
-  conn_count_[0].assign(g.NumLeft(), 0);
-  conn_count_[1].assign(g.NumRight(), 0);
-}
-
-void MaximalExtender::CollectCandidates(const Biplex& b, Side side,
-                                        std::vector<VertexId>* out) const {
-  const std::vector<VertexId>& same = b.SideSet(side);
-  const std::vector<VertexId>& other = b.SideSet(Opposite(side));
-  const size_t uk = static_cast<size_t>(k_.ForSide(side));
-  if (other.size() <= uk) {
-    // Every non-member trivially satisfies the connection lower bound
-    // δ(v, other) >= |other| - k; fall back to scanning the side.
-    const size_t n = g_.NumOnSide(side);
-    out->reserve(n - same.size());
-    for (VertexId v = 0; v < n; ++v) {
-      if (!sorted::Contains(same, v)) out->push_back(v);
-    }
-    return;
-  }
-  // Count connections into `other` by one sweep over its adjacency lists.
-  const size_t side_idx = side == Side::kLeft ? 0 : 1;
-  std::vector<uint32_t>& conn = conn_count_[side_idx];
-  std::vector<VertexId>& touched = touched_[side_idx];
-  touched.clear();
-  for (VertexId u : other) {
-    for (VertexId w : g_.Neighbors(Opposite(side), u)) {
-      if (conn[w] == 0) touched.push_back(w);
-      ++conn[w];
-    }
-  }
-  const size_t need = other.size() - uk;
-  for (VertexId w : touched) {
-    if (conn[w] >= need && !sorted::Contains(same, w)) out->push_back(w);
-    conn[w] = 0;  // reset scratch
-  }
-  std::sort(out->begin(), out->end());
-}
-
-void MaximalExtender::AppendAddableVertices(const Biplex& b, Side side,
-                                            std::vector<VertexId>* out,
-                                            bool stop_at_first) const {
-  std::vector<VertexId> candidates;
-  CollectCandidates(b, side, &candidates);
-  for (VertexId v : candidates) {
-    if (CanAdd(g_, b, side, v, k_)) {
-      out->push_back(v);
-      if (stop_at_first) return;
-    }
+  for (Side s : {Side::kLeft, Side::kRight}) {
+    conn_count_[SideIndex(s)].assign(g.NumOnSide(s), 0);
+    tight_count_[SideIndex(s)].assign(g.NumOnSide(s), 0);
   }
 }
 
 bool MaximalExtender::AnyAddable(const Biplex& b, Side side) const {
-  // Fast path driven by "slackless" members: a member a of the opposite
-  // side already at its disconnection budget blocks every candidate it is
-  // disconnected from, so candidates must be common neighbors of all
-  // slackless members. This avoids scanning the whole side when the
-  // candidate-side budget would otherwise admit every vertex (the hot case
-  // of the right-shrinking filter on solutions with a tiny anchored side).
+  const Side opp = Opposite(side);
   const std::vector<VertexId>& same = b.SideSet(side);
-  const std::vector<VertexId>& other = b.SideSet(Opposite(side));
-  const size_t other_budget =
-      static_cast<size_t>(k_.ForSide(Opposite(side)));
+  const std::vector<VertexId>& other = b.SideSet(opp);
+  const size_t own_budget = static_cast<size_t>(k_.ForSide(side));
+  const size_t other_budget = static_cast<size_t>(k_.ForSide(opp));
+  std::vector<uint32_t>& cc = conn_count_[SideIndex(side)];
+  std::vector<uint32_t>& mark = conn_count_[SideIndex(opp)];
+
+  // One sweep over the opposite members' lists, with the members of
+  // `same` flagged, marks each opposite member slack or slackless. A
+  // slackless member (already at its budget) blocks every candidate it is
+  // disconnected from, so candidates must be neighbors of all of them.
+  for (VertexId x : same) cc[x] = kMemberBit;
   VertexId tightest = kInvalidVertex;  // slackless member of min degree
-  for (VertexId a : other) {
-    if (g_.DiscCount(Opposite(side), a, same) == other_budget) {
-      if (tightest == kInvalidVertex ||
-          g_.Degree(Opposite(side), a) < g_.Degree(Opposite(side), tightest)) {
-        tightest = a;
+  uint32_t num_slackless = 0;
+  for (VertexId u : other) {
+    uint32_t conn_same = 0;
+    for (VertexId w : g_.Neighbors(opp, u)) {
+      conn_same += (cc[w] & kMemberBit) != 0;
+    }
+    if (same.size() - conn_same < other_budget) {
+      mark[u] = kSlack;
+      continue;
+    }
+    mark[u] = kSlackless;
+    ++num_slackless;
+    if (tightest == kInvalidVertex ||
+        g_.Degree(opp, u) < g_.Degree(opp, tightest)) {
+      tightest = u;
+    }
+  }
+
+  bool found = false;
+  if (num_slackless > 0) {
+    // Candidates are restricted to Γ(tightest); each is tested over its
+    // own list against the marks.
+    for (VertexId v : g_.Neighbors(opp, tightest)) {
+      if (cc[v] & kMemberBit) continue;
+      size_t conn = 0;
+      uint32_t conn_slackless = 0;
+      for (VertexId u : g_.Neighbors(side, v)) {
+        conn += mark[u] != 0;
+        conn_slackless += mark[u] == kSlackless;
+      }
+      if (other.size() - conn <= own_budget &&
+          conn_slackless == num_slackless) {
+        found = true;
+        break;
       }
     }
-  }
-  if (tightest != kInvalidVertex) {
-    // Candidates are restricted to Γ(tightest).
-    for (VertexId u : g_.Neighbors(Opposite(side), tightest)) {
-      if (CanAdd(g_, b, side, u, k_)) return true;
+  } else if (other.size() <= own_budget) {
+    // No member is slackless and any non-member passes its own budget.
+    found = same.size() < g_.NumOnSide(side);
+  } else {
+    // No member is slackless: the first non-member reaching the
+    // connection lower bound |other| - k joins. Members carry kMemberBit,
+    // so their counters never equal `need`.
+    const size_t need = other.size() - own_budget;
+    touched_.clear();
+    for (VertexId u : other) {
+      for (VertexId w : g_.Neighbors(opp, u)) {
+        if (cc[w] == 0) touched_.push_back(w);
+        if (++cc[w] == need) {
+          found = true;
+          break;
+        }
+      }
+      if (found) break;
     }
-    return false;
+    for (VertexId w : touched_) cc[w] = 0;
   }
-  // No member is slackless: every candidate passing its own budget joins.
-  const size_t own_budget = static_cast<size_t>(k_.ForSide(side));
-  if (other.size() <= own_budget) {
-    // Any non-member qualifies unconditionally.
-    return same.size() < g_.NumOnSide(side);
-  }
-  std::vector<VertexId> found;
-  AppendAddableVertices(b, side, &found, /*stop_at_first=*/true);
-  return !found.empty();
+  for (VertexId x : same) cc[x] = 0;
+  for (VertexId u : other) mark[u] = 0;
+  return found;
 }
 
 void MaximalExtender::ExtendSide(Biplex* b, Side side) const {
+  const Side opp = Opposite(side);
   std::vector<VertexId>& same = b->MutableSideSet(side);
-  const std::vector<VertexId>& other = b->SideSet(Opposite(side));
+  const std::vector<VertexId>& other = b->SideSet(opp);
   const size_t own_budget = static_cast<size_t>(k_.ForSide(side));
-  const size_t other_budget =
-      static_cast<size_t>(k_.ForSide(Opposite(side)));
+  const uint32_t other_budget = static_cast<uint32_t>(k_.ForSide(opp));
+  std::vector<uint32_t>& cc = conn_count_[SideIndex(side)];
+  std::vector<uint32_t>& tc = tight_count_[SideIndex(side)];
+  std::vector<uint32_t>& mark = conn_count_[SideIndex(opp)];
 
-  // Candidate prefilter with connection counts. `other` is fixed during
-  // this pass (only `same` grows), so one adjacency sweep suffices.
-  std::vector<VertexId> candidates;
-  std::vector<uint32_t> cand_conn;  // |Γ(v) ∩ other| aligned to candidates
+  // One sweep over the opposite members' lists, with the members of
+  // `same` flagged, yields cc[w] = |Γ(w) ∩ other| for every non-member w
+  // it reaches and each opposite member's disconnections within `same`.
+  // `other` is fixed during this pass (only `same` grows).
+  for (VertexId x : same) cc[x] = kMemberBit;
+  touched_.clear();
+  disc_.resize(other.size());
+  for (size_t i = 0; i < other.size(); ++i) {
+    uint32_t conn_same = 0;
+    for (VertexId w : g_.Neighbors(opp, other[i])) {
+      if (cc[w] == 0) touched_.push_back(w);
+      conn_same += (cc[w] & kMemberBit) != 0;
+      ++cc[w];
+    }
+    disc_[i] = static_cast<uint32_t>(same.size()) - conn_same;
+  }
+
+  // Members already at their budget are "tight": a candidate is addable
+  // iff its own budget fits and it connects every tight member, i.e.
+  // tc[v] == num_tight.
+  uint32_t num_tight = 0;
+  auto make_tight = [&](VertexId u) {
+    ++num_tight;
+    for (VertexId w : g_.Neighbors(opp, u)) ++tc[w];
+  };
+  for (size_t i = 0; i < other.size(); ++i) {
+    if (disc_[i] == other_budget) make_tight(other[i]);
+  }
+
+  // Candidates in ascending order; an accepted vertex raises the
+  // disconnections of the members outside its (marked) neighborhood.
+  added_.clear();
+  auto consider = [&](VertexId v) {
+    if (tc[v] != num_tight) return;
+    added_.push_back(v);
+    for (VertexId u : g_.Neighbors(side, v)) mark[u] = 1;
+    for (size_t i = 0; i < other.size(); ++i) {
+      if (mark[other[i]] == 0 && ++disc_[i] == other_budget) {
+        make_tight(other[i]);
+      }
+    }
+    for (VertexId u : g_.Neighbors(side, v)) mark[u] = 0;
+  };
   if (other.size() <= own_budget) {
+    // Every non-member fits its own budget; scan the side.
     const size_t n = g_.NumOnSide(side);
     for (VertexId v = 0; v < n; ++v) {
-      if (sorted::Contains(same, v)) continue;
-      candidates.push_back(v);
-      cand_conn.push_back(
-          static_cast<uint32_t>(g_.ConnCount(side, v, other)));
+      const bool member = (cc[v] & kMemberBit) != 0;
+      cc[v] = 0;
+      if (!member) consider(v);
     }
   } else {
-    const size_t side_idx = side == Side::kLeft ? 0 : 1;
-    std::vector<uint32_t>& conn = conn_count_[side_idx];
-    std::vector<VertexId>& touched = touched_[side_idx];
-    touched.clear();
-    for (VertexId u : other) {
-      for (VertexId w : g_.Neighbors(Opposite(side), u)) {
-        if (conn[w] == 0) touched.push_back(w);
-        ++conn[w];
-      }
-    }
-    std::sort(touched.begin(), touched.end());
+    // Only non-members with δ(v, other) >= |other| - k fit; all of them
+    // were reached by the sweep.
     const size_t need = other.size() - own_budget;
-    for (VertexId w : touched) {
-      if (conn[w] >= need && !sorted::Contains(same, w)) {
-        candidates.push_back(w);
-        cand_conn.push_back(conn[w]);
-      }
-      conn[w] = 0;  // reset scratch
+    std::sort(touched_.begin(), touched_.end());
+    for (VertexId w : touched_) {
+      const uint32_t conn = cc[w];
+      cc[w] = 0;
+      if (conn >= need) consider(w);
     }
+    for (VertexId x : same) cc[x] = 0;
   }
-
-  // Disconnection counters of `other` members and the "tight" ones already
-  // at their budget: a candidate is addable iff its own budget fits and it
-  // connects every tight member. Maintained incrementally per accepted
-  // vertex, which turns the per-candidate test into O(|tight|) instead of
-  // a full CanAdd scan.
-  std::vector<size_t> disc(other.size());
-  std::vector<VertexId> tight;
+  // Tight members are exactly those ending at their budget.
   for (size_t i = 0; i < other.size(); ++i) {
-    disc[i] = same.size() - g_.ConnCount(Opposite(side), other[i], same);
-    if (disc[i] == other_budget) tight.push_back(other[i]);
+    if (disc_[i] != other_budget) continue;
+    for (VertexId w : g_.Neighbors(opp, other[i])) tc[w] = 0;
   }
 
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    const VertexId v = candidates[ci];
-    if (other.size() - cand_conn[ci] > own_budget) continue;
-    if (g_.ConnCount(side, v, tight) != tight.size()) continue;
-    sorted::Insert(&same, v);
-    // Update counters of the members v misses.
-    for (size_t i = 0; i < other.size(); ++i) {
-      if (g_.IsAdjacent(side, v, other[i])) continue;
-      if (++disc[i] == other_budget) sorted::Insert(&tight, other[i]);
-    }
+  // Merge the (ascending) accepted vertices into `same` from the back.
+  size_t i = same.size();
+  size_t j = added_.size();
+  same.resize(i + j);
+  for (size_t out = same.size(); j > 0;) {
+    same[--out] = (i > 0 && same[i - 1] > added_[j - 1]) ? same[--i]
+                                                          : added_[--j];
   }
 }
 

@@ -101,6 +101,13 @@ inline bool CanAdd(const BipartiteGraph& g, const Biplex& b, Side side,
 /// grows, so one pass yields a maximal k-biplex and the result is a
 /// function of the seed alone — the determinism Step 3 of ThreeStep
 /// requires.
+///
+/// Every connection count comes from per-vertex counter arrays that one
+/// sweep over adjacency lists fills and resets, so a call costs
+/// O(Σ deg of the swept sets) plus a sort of the touched candidates; no
+/// per-vertex set intersection is done. The counters are mutable scratch
+/// behind `const` methods: an extender serves one thread at a time (each
+/// TraversalEngine owns one). Scratch is O(|L| + |R|).
 class MaximalExtender {
  public:
   /// `g` must outlive the extender.
@@ -108,34 +115,36 @@ class MaximalExtender {
   MaximalExtender(const BipartiteGraph& g, int k)
       : MaximalExtender(g, KPair::Uniform(k)) {}
 
-  /// Extends `b` in place. `grow_left` / `grow_right` select which sides
-  /// may receive vertices (iTraversal's Step 3 grows the left side only).
+  /// Extends the k-biplex `b` in place. `grow_left` / `grow_right` select
+  /// which sides may receive vertices (iTraversal's Step 3 grows the left
+  /// side only). Each grown side costs O(Σ deg of the opposite members +
+  /// Σ deg of the members that reach their budget + Σ (deg v + |other|)
+  /// over the added vertices v) plus the candidate sort, or plus O(|side|)
+  /// when the opposite set is within the side's budget and every
+  /// non-member is a candidate.
   void Extend(Biplex* b, bool grow_left, bool grow_right) const;
 
-  /// Appends to `out` every vertex of side `side` that can currently join
-  /// `b`. Used by maximality checks and the right-shrinking filter.
-  void AppendAddableVertices(const Biplex& b, Side side,
-                             std::vector<VertexId>* out,
-                             bool stop_at_first = false) const;
-
-  /// True iff some vertex of side `side` outside `b` can join `b`.
+  /// True iff some vertex of side `side` outside the k-biplex `b` can join
+  /// it (the right-shrinking filter and the maximality check). Costs
+  /// O(|same| + Σ deg of the opposite members + Σ deg of the tested
+  /// candidates).
   bool AnyAddable(const Biplex& b, Side side) const;
 
  private:
-  // Collects candidate vertices of `side` with enough connections into the
-  // opposite member set of `b` to possibly join (δ(v, other) >= |other|-k).
-  void CollectCandidates(const Biplex& b, Side side,
-                         std::vector<VertexId>* out) const;
-
-  // One growth pass of Extend over `side`, with incremental budget
-  // tracking of the opposite side's members.
+  // One growth pass of Extend over `side`.
   void ExtendSide(Biplex* b, Side side) const;
 
   const BipartiteGraph& g_;
   KPair k_;
-  // Scratch: connection counters indexed by vertex id, one per side.
+  // Per-side scratch indexed by vertex id, all zero between calls:
+  // conn_count_ holds |Γ(w) ∩ other| (with kMemberBit on members of the
+  // side being grown or tested), or marks on the opposite members;
+  // tight_count_ holds |Γ(w) ∩ tight| during ExtendSide.
   mutable std::vector<uint32_t> conn_count_[2];
-  mutable std::vector<VertexId> touched_[2];
+  mutable std::vector<uint32_t> tight_count_[2];
+  mutable std::vector<VertexId> touched_;
+  mutable std::vector<VertexId> added_;
+  mutable std::vector<uint32_t> disc_;  // aligned to the opposite members
 };
 
 }  // namespace kbiplex

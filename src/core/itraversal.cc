@@ -12,11 +12,6 @@
 #include "util/timer.h"
 
 namespace kbiplex {
-namespace {
-
-size_t SideIndex(Side s) { return s == Side::kLeft ? 0 : 1; }
-
-}  // namespace
 
 class TraversalEngine::Impl {
  public:
@@ -607,7 +602,8 @@ class TraversalEngine::Impl {
           return true;
         }
       }
-      Biplex sol = loc;
+      Biplex& sol = extend_buf_;
+      sol = loc;  // reuses the buffer's capacity
       extender_.Extend(&sol, grow_left, grow_right);
       if (opts_.exclusion && IntersectsExclusion(*f, sol)) {
         ++stats_.links_pruned_exclusion;
@@ -621,7 +617,7 @@ class TraversalEngine::Impl {
       }
       if (store_->Insert(sol)) {
         ++stats_.solutions_found;
-        f->batch.push_back(std::move(sol));
+        f->batch.push_back(sol);
       } else {
         ++stats_.dedup_hits;
       }
@@ -683,6 +679,9 @@ class TraversalEngine::Impl {
   const BipartiteGraph& g_;
   const TraversalOptions opts_;
   MaximalExtender extender_;
+  // Step-3 output buffer, reused across local solutions; copied into the
+  // frame's batch only when the solution is new.
+  Biplex extend_buf_;
   TraversalStats stats_;
   const SolutionCallback* cb_ = nullptr;
   std::unique_ptr<SolutionStore> store_;

@@ -142,8 +142,6 @@ class AdjacencyIndex {
   static constexpr size_t kSparseTag = static_cast<size_t>(1)
                                        << (sizeof(size_t) * 8 - 1);
 
-  static size_t SideIndex(Side s) { return s == Side::kLeft ? 0 : 1; }
-
   /// Shared build: plan (qualify + budget) and fill. `prev` non-null
   /// activates the copy-unchanged-rows fast path of the incremental
   /// constructor; `changed[side]` then flags the vertices whose rows must

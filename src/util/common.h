@@ -25,6 +25,9 @@ inline Side Opposite(Side s) {
   return s == Side::kLeft ? Side::kRight : Side::kLeft;
 }
 
+/// 0 for the left side, 1 for the right: the index of per-side arrays.
+inline size_t SideIndex(Side s) { return s == Side::kLeft ? 0 : 1; }
+
 /// Sorted-vector set algebra. All functions below require their inputs to be
 /// sorted ascending and duplicate-free; outputs preserve that invariant.
 namespace sorted {

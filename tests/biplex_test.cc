@@ -163,6 +163,98 @@ TEST(MaximalExtender, AnyAddableMatchesDefinition) {
   }
 }
 
+// Step 3's exact function: one pass over each grown side in ascending id
+// order, adding v iff CanAdd holds against the set built so far.
+Biplex ReferenceExtend(const BipartiteGraph& g, Biplex b, KPair k,
+                       bool grow_left, bool grow_right) {
+  for (Side side : {Side::kLeft, Side::kRight}) {
+    if (!(side == Side::kLeft ? grow_left : grow_right)) continue;
+    for (VertexId v = 0; v < g.NumOnSide(side); ++v) {
+      if (CanAdd(g, b, side, v, k)) sorted::Insert(&b.MutableSideSet(side), v);
+    }
+  }
+  return b;
+}
+
+bool ReferenceAnyAddable(const BipartiteGraph& g, const Biplex& b,
+                         Side side, KPair k) {
+  for (VertexId v = 0; v < g.NumOnSide(side); ++v) {
+    if (CanAdd(g, b, side, v, k)) return true;
+  }
+  return false;
+}
+
+// Random k-biplexes of `g`: random subsets that pass IsKBiplex, plus
+// maximal ones with one vertex dropped (these leave slackless members
+// on the opposite side and a vertex that can rejoin).
+std::vector<Biplex> RandomKBiplexes(const BipartiteGraph& g, KPair k,
+                                    Rng* rng) {
+  std::vector<Biplex> out;
+  MaximalExtender ext(g, k);
+  for (int trial = 0; trial < 40; ++trial) {
+    const double density = 0.1 + 0.1 * (trial % 6);
+    Biplex b;
+    for (VertexId v = 0; v < g.NumLeft(); ++v) {
+      if (rng->NextBool(density)) b.left.push_back(v);
+    }
+    for (VertexId u = 0; u < g.NumRight(); ++u) {
+      if (rng->NextBool(density)) b.right.push_back(u);
+    }
+    if (!IsKBiplex(g, b, k)) continue;
+    out.push_back(b);
+    ext.Extend(&b, true, true);
+    for (Side side : {Side::kLeft, Side::kRight}) {
+      const std::vector<VertexId>& set = b.SideSet(side);
+      if (set.empty()) continue;
+      Biplex sub = b;
+      sorted::Erase(&sub.MutableSideSet(side),
+                    set[rng->NextBelow(set.size())]);
+      out.push_back(sub);
+    }
+  }
+  return out;
+}
+
+TEST(MaximalExtender, MatchesReferencePass) {
+  const std::vector<KPair> ks = {KPair::Uniform(1), KPair::Uniform(2),
+                                 KPair::Uniform(3), KPair{1, 3},
+                                 KPair{2, 1}};
+  const std::vector<std::pair<bool, bool>> grows = {
+      {true, false}, {false, true}, {true, true}};
+  size_t checked = 0;
+  size_t addable = 0;
+  size_t not_addable = 0;
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    const double p = 0.2 + 0.06 * static_cast<double>(seed % 10);
+    auto g = MakeRandomGraph({9, 8, p, seed + 500});
+    Rng rng(seed * 131 + 3);
+    for (const KPair& k : ks) {
+      MaximalExtender ext(g, k);
+      for (const Biplex& b : RandomKBiplexes(g, k, &rng)) {
+        for (const auto& [grow_left, grow_right] : grows) {
+          Biplex out = b;
+          ext.Extend(&out, grow_left, grow_right);
+          ASSERT_EQ(out, ReferenceExtend(g, b, k, grow_left, grow_right))
+              << "k=" << k.left << "/" << k.right << " seed=" << seed
+              << " grow=" << grow_left << grow_right << " " << ToString(b);
+        }
+        for (Side side : {Side::kLeft, Side::kRight}) {
+          const bool want = ReferenceAnyAddable(g, b, side, k);
+          ASSERT_EQ(ext.AnyAddable(b, side), want)
+              << "k=" << k.left << "/" << k.right << " seed=" << seed
+              << " side=" << static_cast<int>(side) << " " << ToString(b);
+          ++(want ? addable : not_addable);
+        }
+        ++checked;
+      }
+    }
+  }
+  // The sweep must reach both answers of the filter.
+  EXPECT_GT(checked, 200u);
+  EXPECT_GT(addable, 100u);
+  EXPECT_GT(not_addable, 20u);
+}
+
 // Property sweep: for random k-biplex seeds, Extend yields a maximal
 // k-biplex containing the seed.
 class ExtenderSweep
