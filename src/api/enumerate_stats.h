@@ -58,6 +58,16 @@ struct EnumerateStats {
 
   bool ok() const { return error.empty(); }
 
+  /// A rejected run: `message` as the error, completed = false.
+  static EnumerateStats Rejected(std::string message);
+
+  /// Folds one parallel shard's stats into this accumulator. Counters add
+  /// up; `completed` holds iff every shard completed; detail blocks merge
+  /// field-wise (their `seconds` become aggregate worker seconds).
+  /// `solutions` and the top-level `seconds` are left to the caller, which
+  /// owns the shared delivery count and the wall clock.
+  void MergeShard(const EnumerateStats& shard);
+
   /// One-line JSON rendering of the shared fields plus the engaged detail
   /// block; the CLI's --format json output.
   std::string ToJson() const;

@@ -97,10 +97,30 @@ class OptionReader {
   std::string error_;
 };
 
-EnumerateStats Rejected(std::string message) {
+/// Parses the hot-path acceleration choices shared by the traversal
+/// family and large-mbp (see core/traversal_options.h).
+template <typename Options>
+void TakeAccelOptions(OptionReader* reader, Options* opts) {
+  reader->TakeChoice("candidate_gen",
+                     {{"auto", CandidateGenMode::kAuto},
+                      {"scan", CandidateGenMode::kScan},
+                      {"twohop", CandidateGenMode::kTwoHop}},
+                     &opts->candidate_gen);
+  reader->TakeChoice("adjacency_index",
+                     {{"auto", AdjacencyAccelMode::kAuto},
+                      {"off", AdjacencyAccelMode::kOff},
+                      {"force", AdjacencyAccelMode::kForce}},
+                     &opts->adjacency_accel);
+  reader->TakeSize("accel_budget", &opts->accel_budget_bytes);
+}
+
+/// NotStartedStats for a backend whose detail block is `detail`.
+template <typename EngineStats>
+EnumerateStats NotStartedWith(
+    std::optional<EngineStats> EnumerateStats::*detail) {
   EnumerateStats out;
-  out.error = std::move(message);
   out.completed = false;
+  (out.*detail).emplace().completed = false;
   return out;
 }
 
@@ -166,27 +186,13 @@ class TraversalBackend final : public AlgorithmBackend {
                       &opts.local.r_variant);
     reader.TakeBool("polynomial_delay_output",
                     &opts.polynomial_delay_output);
-    reader.TakeChoice("store_backend",
-                      {{"btree", StoreBackend::kBTree},
-                       {"hash", StoreBackend::kHashSet},
-                       {"both", StoreBackend::kBoth}},
-                      &opts.store_backend);
-    reader.TakeChoice("candidate_gen",
-                      {{"auto", CandidateGenMode::kAuto},
-                       {"scan", CandidateGenMode::kScan},
-                       {"twohop", CandidateGenMode::kTwoHop}},
-                      &opts.candidate_gen);
-    reader.TakeChoice("adjacency_index",
-                      {{"auto", AdjacencyAccelMode::kAuto},
-                       {"off", AdjacencyAccelMode::kOff},
-                       {"force", AdjacencyAccelMode::kForce}},
-                      &opts.adjacency_accel);
-    reader.TakeSize("accel_budget", &opts.accel_budget_bytes);
+    TakeAccelOptions(&reader, &opts);
     if (std::string err = reader.Finish(); !err.empty()) {
-      return Rejected(std::move(err));
+      return EnumerateStats::Rejected(std::move(err));
     }
     if (opts.local_impl == LocalEnumImpl::kInflation && !req.k.IsUniform()) {
-      return Rejected("local_impl=inflation requires uniform budgets");
+      return EnumerateStats::Rejected(
+          "local_impl=inflation requires uniform budgets");
     }
 
     Delivery delivery{req, sink};
@@ -200,6 +206,10 @@ class TraversalBackend final : public AlgorithmBackend {
     out.seconds = ts.seconds;
     out.traversal = ts;
     return out;
+  }
+
+  EnumerateStats NotStartedStats() const override {
+    return NotStartedWith(&EnumerateStats::traversal);
   }
 
  private:
@@ -224,19 +234,9 @@ class LargeMbpBackend final : public AlgorithmBackend {
 
     OptionReader reader(req.backend_options);
     reader.TakeBool("core_reduction", &opts.core_reduction);
-    reader.TakeChoice("candidate_gen",
-                      {{"auto", CandidateGenMode::kAuto},
-                       {"scan", CandidateGenMode::kScan},
-                       {"twohop", CandidateGenMode::kTwoHop}},
-                      &opts.candidate_gen);
-    reader.TakeChoice("adjacency_index",
-                      {{"auto", AdjacencyAccelMode::kAuto},
-                       {"off", AdjacencyAccelMode::kOff},
-                       {"force", AdjacencyAccelMode::kForce}},
-                      &opts.adjacency_accel);
-    reader.TakeSize("accel_budget", &opts.accel_budget_bytes);
+    TakeAccelOptions(&reader, &opts);
     if (std::string err = reader.Finish(); !err.empty()) {
-      return Rejected(std::move(err));
+      return EnumerateStats::Rejected(std::move(err));
     }
 
     Delivery delivery{req, sink};
@@ -250,6 +250,10 @@ class LargeMbpBackend final : public AlgorithmBackend {
     out.seconds = ls.seconds;
     out.large_mbp = ls;
     return out;
+  }
+
+  EnumerateStats NotStartedStats() const override {
+    return NotStartedWith(&EnumerateStats::large_mbp);
   }
 };
 
@@ -267,10 +271,12 @@ class ImbBackend final : public AlgorithmBackend {
     opts.max_results = req.max_results;
     opts.time_budget_seconds = req.time_budget_seconds;
     opts.cancel = req.cancellation;
+    opts.root_begin = static_cast<size_t>(ctx.range_begin);
+    opts.root_end = static_cast<size_t>(ctx.range_end);
 
     OptionReader reader(req.backend_options);
     if (std::string err = reader.Finish(); !err.empty()) {
-      return Rejected(std::move(err));
+      return EnumerateStats::Rejected(std::move(err));
     }
 
     Delivery delivery{req, sink};
@@ -284,6 +290,19 @@ class ImbBackend final : public AlgorithmBackend {
     out.seconds = is.seconds;
     out.imb = is;
     return out;
+  }
+
+  /// Root branches of the set-enumeration tree are independent. The empty
+  /// graph keeps its single (0, 0) slice, which reports the empty biplex
+  /// exactly like the sequential run.
+  std::optional<RangeDomain> ParallelRange(
+      const BipartiteGraph& g) const override {
+    return RangeDomain{.size = g.NumLeft() + g.NumRight(),
+                       .slices_per_thread = 4};
+  }
+
+  EnumerateStats NotStartedStats() const override {
+    return NotStartedWith(&EnumerateStats::imb);
   }
 };
 
@@ -307,7 +326,7 @@ class InflationBackend final : public AlgorithmBackend {
     OptionReader reader(req.backend_options);
     reader.TakeSize("max_inflated_edges", &opts.max_inflated_edges);
     if (std::string err = reader.Finish(); !err.empty()) {
-      return Rejected(std::move(err));
+      return EnumerateStats::Rejected(std::move(err));
     }
 
     Delivery delivery{req, sink};
@@ -323,6 +342,17 @@ class InflationBackend final : public AlgorithmBackend {
     out.inflation = is;
     return out;
   }
+
+  /// max_inflated_edges is a per-enumeration memory guard: copying it
+  /// into every component shard would multiply the allowed blow-up and
+  /// flip OUT runs to "completed".
+  bool ComponentShardsAllowed(const EnumerateRequest& req) const override {
+    return req.backend_options.count("max_inflated_edges") == 0;
+  }
+
+  EnumerateStats NotStartedStats() const override {
+    return NotStartedWith(&EnumerateStats::inflation);
+  }
 };
 
 // ----------------------------------------------------------- brute force --
@@ -334,18 +364,21 @@ class BruteForceBackend final : public AlgorithmBackend {
     const BipartiteGraph& g = ctx.prepared->ExecutionGraph();
     OptionReader reader(req.backend_options);
     if (std::string err = reader.Finish(); !err.empty()) {
-      return Rejected(std::move(err));
+      return EnumerateStats::Rejected(std::move(err));
     }
 
     WallTimer timer;
     Deadline deadline(req.time_budget_seconds);
     bool scan_completed = true;
-    std::vector<Biplex> all = BruteForceMaximalBiplexes(
-        g, req.k, &deadline, req.cancellation, &scan_completed);
+    const uint64_t end =
+        ctx.range_end == 0 ? uint64_t{1} << g.NumLeft() : ctx.range_end;
+    std::vector<Biplex> all = BruteForceMaximalBiplexesMaskRange(
+        g, req.k, &deadline, req.cancellation, &scan_completed,
+        ctx.range_begin, end);
 
     EnumerateStats out;
-    out.work_units = static_cast<uint64_t>(1)
-                     << (g.NumLeft() + g.NumRight());  // candidate pairs
+    out.work_units = (end - ctx.range_begin)
+                     << g.NumRight();  // candidate pairs
     out.completed = scan_completed;
     Delivery delivery{req, sink};
     for (const Biplex& b : all) {
@@ -361,6 +394,15 @@ class BruteForceBackend final : public AlgorithmBackend {
     out.solutions = delivery.delivered;
     out.seconds = timer.ElapsedSeconds();
     return out;
+  }
+
+  /// Left-mask slices: maximality is judged against the whole graph, so
+  /// slices are disjoint and complete. Oversplit for load balance: dense
+  /// mask slices are much slower than sparse ones.
+  std::optional<RangeDomain> ParallelRange(
+      const BipartiteGraph& g) const override {
+    return RangeDomain{.size = uint64_t{1} << g.NumLeft(),
+                       .slices_per_thread = 8};
   }
 };
 

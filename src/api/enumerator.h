@@ -30,7 +30,6 @@
 //                     "local_l"                  l10 | l20
 //                     "local_r"                  r10 | r20
 //                     "polynomial_delay_output"  true | false
-//                     "store_backend"            btree | hash | both
 //                     "candidate_gen"            auto | scan | twohop
 //                     "adjacency_index"          auto | off | force
 //                     "accel_budget"             <bytes>  (0 = unlimited)

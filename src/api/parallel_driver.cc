@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "baselines/imb.h"
-#include "core/brute_force.h"
-#include "core/traversal_options.h"
 #include "graph/components.h"
 #include "util/cancellation.h"
 #include "util/sync.h"
@@ -21,21 +20,19 @@ namespace kbiplex {
 namespace internal {
 namespace {
 
-// ------------------------------------------------- shared by the plans ---
-
 /// The workers' shared delivery point: serializes sink access, counts
 /// delivered solutions with an atomic, and turns a global stop condition
 /// (result cap, sink refusal) into a cancellation visible to every worker.
-class SharedDelivery {
+class SharedDelivery final : public SolutionSink {
  public:
   SharedDelivery(const EnumerateRequest& request, SolutionSink* sink,
                  CancellationToken* stop)
       : request_(request), sink_(sink), stop_(stop) {}
 
-  /// Thread-safe Deliver with the same semantics as the sequential
+  /// Thread-safe delivery with the same semantics as the sequential
   /// facade: threshold filter, then sink, then the result cap; a solution
   /// counts as delivered only once the sink accepted it.
-  bool Deliver(const Biplex& b) {
+  bool Accept(const Biplex& b) override {
     if (b.left.size() < request_.theta_left ||
         b.right.size() < request_.theta_right) {
       return true;
@@ -92,29 +89,6 @@ class ErrorCollector {
   std::string error_ KBIPLEX_GUARDED_BY(mu_);
 };
 
-/// Adds worker-local traversal counters into an accumulator. `completed`
-/// holds iff every contribution completed; `seconds` add up (aggregate
-/// worker time, not wall clock); stack depths take the maximum.
-void MergeInto(TraversalStats* into, const TraversalStats& s) {
-  into->solutions_found += s.solutions_found;
-  into->solutions_emitted += s.solutions_emitted;
-  into->links += s.links;
-  into->links_pruned_right_shrinking += s.links_pruned_right_shrinking;
-  into->links_pruned_exclusion += s.links_pruned_exclusion;
-  into->almost_sat_graphs += s.almost_sat_graphs;
-  into->local_solutions += s.local_solutions;
-  into->dedup_hits += s.dedup_hits;
-  into->candidates_generated += s.candidates_generated;
-  into->candidates_pruned += s.candidates_pruned;
-  into->local_stats.b_subsets += s.local_stats.b_subsets;
-  into->local_stats.a_subsets += s.local_stats.a_subsets;
-  into->local_stats.local_solutions += s.local_stats.local_solutions;
-  into->local_stats.adjacency_tests += s.local_stats.adjacency_tests;
-  into->completed = into->completed && s.completed;
-  into->seconds += s.seconds;  // aggregate worker time, not wall clock
-  into->max_stack_depth = std::max(into->max_stack_depth, s.max_stack_depth);
-}
-
 /// The time budget is global: a shard dequeued late must not restart the
 /// clock, so each one gets the budget *remaining* on the driver's timer
 /// when it actually starts. Returns false when the budget is already
@@ -142,197 +116,12 @@ void SubmitGuarded(ThreadPool* pool, ErrorCollector* errors, Body body) {
   });
 }
 
-EnumerateStats RejectedStats(std::string message) {
-  EnumerateStats out;
-  out.error = std::move(message);
-  out.completed = false;
-  return out;
-}
-
-/// Rejects requests carrying options for backends that define none (the
-/// parallel plans below bypass the backend classes and drive the engines
-/// directly, so they mirror the sequential unknown-key rejection).
-std::optional<std::string> RejectOptions(const EnumerateRequest& request) {
-  if (request.backend_options.empty()) return std::nullopt;
-  return "unknown backend option '" + request.backend_options.begin()->first +
-         "'";
-}
-
-// ------------------------------------------------------- stats merging ---
-
-/// Folds the per-shard unified stats of the component plan into one
-/// result. Counters add up; `completed` holds iff every shard completed;
-/// detail blocks merge field-wise (their `seconds` become aggregate
-/// worker seconds — the top-level `seconds` is the driver's wall clock).
-EnumerateStats MergeShardStats(std::vector<EnumerateStats> shards) {
-  EnumerateStats out;
-  for (EnumerateStats& s : shards) {
-    out.work_units += s.work_units;
-    out.completed = out.completed && s.completed;
-    out.out_of_memory = out.out_of_memory || s.out_of_memory;
-    if (s.traversal.has_value()) {
-      if (!out.traversal.has_value()) out.traversal.emplace();
-      MergeInto(&*out.traversal, *s.traversal);
-    }
-    if (s.large_mbp.has_value()) {
-      if (!out.large_mbp.has_value()) out.large_mbp.emplace();
-      LargeMbpStats& l = *out.large_mbp;
-      MergeInto(&l.traversal, s.large_mbp->traversal);
-      l.core_left += s.large_mbp->core_left;
-      l.core_right += s.large_mbp->core_right;
-      l.completed = l.completed && s.large_mbp->completed;
-      l.seconds += s.large_mbp->seconds;
-    }
-    if (s.imb.has_value()) {
-      if (!out.imb.has_value()) out.imb.emplace();
-      out.imb->nodes += s.imb->nodes;
-      out.imb->solutions += s.imb->solutions;
-      out.imb->completed = out.imb->completed && s.imb->completed;
-      out.imb->seconds += s.imb->seconds;
-    }
-    if (s.inflation.has_value()) {
-      if (!out.inflation.has_value()) out.inflation.emplace();
-      out.inflation->solutions += s.inflation->solutions;
-      out.inflation->completed =
-          out.inflation->completed && s.inflation->completed;
-      out.inflation->out_of_budget =
-          out.inflation->out_of_budget || s.inflation->out_of_budget;
-      out.inflation->inflated_edges += s.inflation->inflated_edges;
-      out.inflation->seconds += s.inflation->seconds;
-    }
-  }
-  return out;
-}
-
-/// Splits [0, total) into `chunks` near-equal contiguous ranges.
-std::vector<std::pair<uint64_t, uint64_t>> SplitRange(uint64_t total,
-                                                      uint64_t chunks) {
-  chunks = std::max<uint64_t>(1, std::min(chunks, total));
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  out.reserve(chunks);
-  for (uint64_t i = 0; i < chunks; ++i) {
-    out.emplace_back(total * i / chunks, total * (i + 1) / chunks);
-  }
-  return out;
-}
-
-// ------------------------------------------------- brute-force: masks ----
-
-EnumerateStats RunParallelBruteForce(const BipartiteGraph& g,
-                                     const EnumerateRequest& request,
-                                     size_t threads, SolutionSink* sink) {
-  if (auto err = RejectOptions(request)) return RejectedStats(*err);
-  WallTimer timer;
-  Deadline deadline(request.time_budget_seconds);
-  CancellationToken stop(request.cancellation);
-  SharedDelivery delivery(request, sink, &stop);
-  ErrorCollector errors;
-
-  // Oversplit for load balance: dense mask slices are much slower than
-  // sparse ones.
-  const auto ranges =
-      SplitRange(uint64_t{1} << g.NumLeft(), uint64_t{threads} * 8);
-  std::vector<uint8_t> chunk_completed(ranges.size(), 1);
-  {
-    ThreadPool pool(std::min(threads, ranges.size()));
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      SubmitGuarded(&pool, &errors, [&, i] {
-        bool scan_completed = true;
-        const std::vector<Biplex> found = BruteForceMaximalBiplexesMaskRange(
-            g, request.k, &deadline, &stop, &scan_completed, ranges[i].first,
-            ranges[i].second);
-        for (const Biplex& b : found) {
-          if (deadline.Expired() || stop.IsCancelled() ||
-              !delivery.Deliver(b)) {
-            scan_completed = false;
-            break;
-          }
-        }
-        if (!scan_completed) chunk_completed[i] = 0;
-      });
-    }
-    pool.Wait();
-  }
-  if (std::string err = errors.Take(); !err.empty()) {
-    return RejectedStats(std::move(err));
-  }
-
-  EnumerateStats out;
-  out.work_units = uint64_t{1} << (g.NumLeft() + g.NumRight());
-  out.solutions = delivery.delivered();
-  out.completed = std::all_of(chunk_completed.begin(), chunk_completed.end(),
-                              [](uint8_t c) { return c != 0; });
-  out.seconds = timer.ElapsedSeconds();
-  return out;
-}
-
-// ------------------------------------------------- imb: root branches ----
-
-EnumerateStats RunParallelImb(const BipartiteGraph& g,
-                              const EnumerateRequest& request, size_t threads,
-                              SolutionSink* sink) {
-  if (auto err = RejectOptions(request)) return RejectedStats(*err);
-  WallTimer timer;
-  // Empty graph: SplitRange(0, n) emits one (0, 0) shard, and the backend
-  // reports the empty biplex from the root_begin == 0 shard — exactly the
-  // sequential result. No special case needed; the shard path below is
-  // pinned by ParallelImb.EmptyGraphIsATrivialNoOp.
-  CancellationToken stop(request.cancellation);
-  SharedDelivery delivery(request, sink, &stop);
-  ErrorCollector errors;
-
-  const auto ranges = SplitRange(g.NumLeft() + g.NumRight(),
-                                 uint64_t{threads} * 4);
-  std::vector<EnumerateStats> shard_stats(ranges.size());
-  {
-    ThreadPool pool(std::min(threads, ranges.size()));
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      SubmitGuarded(&pool, &errors, [&, i] {
-        ImbOptions opts;
-        opts.k = request.k.left;  // uniformity validated by the facade
-        opts.theta_left = request.theta_left;
-        opts.theta_right = request.theta_right;
-        opts.max_results = request.max_results;
-        if (!RemainingBudget(request, timer, &opts.time_budget_seconds)) {
-          // A skipped shard must still carry the imb detail block:
-          // otherwise the merged stats' JSON schema would depend on which
-          // shard the expiring budget happened to hit first.
-          shard_stats[i].completed = false;
-          shard_stats[i].imb.emplace();
-          shard_stats[i].imb->completed = false;
-          return;
-        }
-        opts.cancel = &stop;
-        opts.root_begin = static_cast<size_t>(ranges[i].first);
-        opts.root_end = static_cast<size_t>(ranges[i].second);
-        ImbStats is = ImbEngine(g, opts).Run(
-            [&](const Biplex& b) { return delivery.Deliver(b); });
-        EnumerateStats& s = shard_stats[i];
-        s.work_units = is.nodes;
-        s.completed = is.completed;
-        s.imb = is;
-      });
-    }
-    pool.Wait();
-  }
-  if (std::string err = errors.Take(); !err.empty()) {
-    return RejectedStats(std::move(err));
-  }
-
-  EnumerateStats out = MergeShardStats(std::move(shard_stats));
-  out.solutions = delivery.delivered();
-  out.seconds = timer.ElapsedSeconds();
-  return out;
-}
-
-// ------------------------------------- everything else: components -------
-
 /// Sink handed to a component worker's backend: translates the
 /// component's compact ids back to parent ids (the maps are ascending, so
 /// sortedness is preserved) and forwards to the shared delivery.
 class MappingSink final : public SolutionSink {
  public:
-  MappingSink(SharedDelivery* delivery, const InducedSubgraph& component)
+  MappingSink(SolutionSink* delivery, const InducedSubgraph& component)
       : delivery_(delivery), component_(component) {}
 
   bool Accept(const Biplex& solution) override {
@@ -345,29 +134,50 @@ class MappingSink final : public SolutionSink {
     for (VertexId u : solution.right) {
       mapped.right.push_back(component_.right_map[u]);
     }
-    return delivery_->Deliver(mapped);
+    return delivery_->Accept(mapped);
   }
 
  private:
-  SharedDelivery* delivery_;
+  SolutionSink* delivery_;
   const InducedSubgraph& component_;
 };
 
-/// One shard per component large enough to hold a solution; nullopt (run
-/// sequentially) when sharding is unsafe or fewer than two shards remain.
-std::optional<EnumerateStats> TryRunParallelComponents(
-    const PreparedGraph& prepared, const EnumerateRequest& request,
-    const AlgorithmRegistry& registry, size_t threads, SolutionSink* sink) {
+/// One unit of parallel work: either a whole component subgraph, or the
+/// slice [begin, end) of the backend's range domain on the execution
+/// graph.
+struct Shard {
+  const InducedSubgraph* component = nullptr;
+  uint64_t begin = 0;
+  uint64_t end = 0;
+};
+
+/// Splits [0, total) into `chunks` near-equal contiguous slices.
+std::vector<Shard> SplitRange(uint64_t total, uint64_t chunks) {
+  chunks = std::max<uint64_t>(1, std::min(chunks, total));
+  std::vector<Shard> out;
+  out.reserve(chunks);
+  for (uint64_t i = 0; i < chunks; ++i) {
+    out.push_back({nullptr, total * i / chunks, total * (i + 1) / chunks});
+  }
+  return out;
+}
+
+/// One shard per component large enough to hold a solution, biggest
+/// first; empty (run sequentially) when component sharding is unsafe or
+/// fewer than two shards remain.
+std::vector<Shard> ComponentShards(const PreparedGraph& prepared,
+                                   const EnumerateRequest& request,
+                                   const AlgorithmBackend& backend) {
   if (!ComponentShardingIsSafe(request.k, request.theta_left,
-                               request.theta_right)) {
-    return std::nullopt;
+                               request.theta_right) ||
+      !backend.ComponentShardsAllowed(request)) {
+    return {};
   }
   // max_links is an engine-internal work counter with no cross-engine
   // accounting hook; copying it into every shard would turn the global
   // budget into a per-shard one (a truncated 1-thread run could "complete"
   // in parallel). Run sequentially rather than change its meaning.
-  if (request.max_links != 0) return std::nullopt;
-  WallTimer timer;
+  if (request.max_links != 0) return {};
   const BipartiteGraph& g = prepared.ExecutionGraph();
 
   // Cheap labeling pass first (cached on the prepared graph, so repeated
@@ -384,15 +194,14 @@ std::optional<EnumerateStats> TryRunParallelComponents(
   for (VertexId r = 0; r < g.NumRight(); ++r) {
     ++comp_sizes[labels.right[r]].second;
   }
-  std::vector<int> shard_of(labels.num_components, -1);
-  int num_shards = 0;
+  std::vector<int> eligible;
   for (int c = 0; c < labels.num_components; ++c) {
     if (comp_sizes[c].first >= request.theta_left &&
         comp_sizes[c].second >= request.theta_right) {
-      shard_of[c] = num_shards++;
+      eligible.push_back(c);
     }
   }
-  if (num_shards < 2) return std::nullopt;
+  if (eligible.size() < 2) return {};
 
   // Every component, materialized once on the prepared graph and shared
   // by all subsequent component-sharded queries; this query only indexes
@@ -400,47 +209,59 @@ std::optional<EnumerateStats> TryRunParallelComponents(
   // graphs (the common case) from ever paying the materialization.
   const std::vector<InducedSubgraph>& components =
       prepared.ComponentSubgraphs();
-  std::vector<size_t> shard_comp;  // component id of each shard
-  shard_comp.reserve(num_shards);
-  for (int c = 0; c < labels.num_components; ++c) {
-    if (shard_of[c] >= 0) shard_comp.push_back(static_cast<size_t>(c));
-  }
+  std::vector<Shard> shards;
+  shards.reserve(eligible.size());
+  for (int c : eligible) shards.push_back({.component = &components[c]});
+  // Big components first so a straggler starts early.
+  std::sort(shards.begin(), shards.end(), [](const Shard& a, const Shard& b) {
+    return a.component->graph.NumEdges() > b.component->graph.NumEdges();
+  });
+  return shards;
+}
 
+/// Runs every shard through a fresh backend on a pool of `threads`
+/// workers and folds the shard stats into one result.
+EnumerateStats RunShards(const PreparedGraph& prepared,
+                         const EnumerateRequest& request,
+                         const AlgorithmRegistry& registry,
+                         const std::vector<Shard>& shards, size_t threads,
+                         const WallTimer& timer, SolutionSink* sink) {
   CancellationToken stop(request.cancellation);
   SharedDelivery delivery(request, sink, &stop);
   ErrorCollector errors;
-  std::vector<EnumerateStats> shard_stats(shard_comp.size());
+  std::vector<EnumerateStats> shard_stats(shards.size());
   {
-    // Big components first so a straggler starts early. The cache is
-    // shared and immutable, so order the shard index, not the subgraphs.
-    std::sort(shard_comp.begin(), shard_comp.end(),
-              [&](size_t a, size_t b) {
-                return components[a].graph.NumEdges() >
-                       components[b].graph.NumEdges();
-              });
-    ThreadPool pool(std::min(threads, shard_comp.size()));
-    for (size_t i = 0; i < shard_comp.size(); ++i) {
+    ThreadPool pool(std::min(threads, shards.size()));
+    for (size_t i = 0; i < shards.size(); ++i) {
       SubmitGuarded(&pool, &errors, [&, i] {
-        const InducedSubgraph& component = components[shard_comp[i]];
+        const Shard& shard = shards[i];
+        std::unique_ptr<AlgorithmBackend> backend =
+            registry.Create(request.algorithm);
         EnumerateRequest shard_request = request;
         shard_request.cancellation = &stop;
         shard_request.threads = 1;
         if (!RemainingBudget(request, timer,
                              &shard_request.time_budget_seconds)) {
-          shard_stats[i].completed = false;
+          // A skipped shard still carries the backend's detail block:
+          // otherwise the merged stats' JSON schema would depend on which
+          // shard the expiring budget happened to hit first.
+          shard_stats[i] = backend->NotStartedStats();
           return;
         }
-        std::unique_ptr<AlgorithmBackend> backend =
-            registry.Create(shard_request.algorithm);
-        MappingSink mapping(&delivery, component);
-        // Each shard wraps its component in a borrowed prepared graph (no
-        // artifacts, no scratch): workers must not share the session's
-        // single-threaded scratch, and the cached component graphs must
-        // stay untouched for the queries that follow.
-        std::shared_ptr<const PreparedGraph> shard_prepared =
-            PreparedGraph::Borrow(component.graph);
-        QueryContext shard_ctx{shard_prepared.get(), nullptr};
-        shard_stats[i] = backend->Run(shard_ctx, shard_request, &mapping);
+        QueryContext ctx{&prepared, nullptr, shard.begin, shard.end};
+        SolutionSink* out = &delivery;
+        std::shared_ptr<const PreparedGraph> borrowed;
+        std::optional<MappingSink> mapping;
+        if (shard.component != nullptr) {
+          // A component shard wraps its subgraph in a borrowed prepared
+          // graph (no artifacts, no scratch): workers must not share the
+          // session's single-threaded scratch, and the cached component
+          // graphs must stay untouched for the queries that follow.
+          borrowed = PreparedGraph::Borrow(shard.component->graph);
+          ctx.prepared = borrowed.get();
+          out = &mapping.emplace(&delivery, *shard.component);
+        }
+        shard_stats[i] = backend->Run(ctx, shard_request, out);
         if (!shard_stats[i].error.empty()) {
           errors.Record(shard_stats[i].error);
           stop.Cancel();  // identical rejection awaits the other shards
@@ -450,10 +271,11 @@ std::optional<EnumerateStats> TryRunParallelComponents(
     pool.Wait();
   }
   if (std::string err = errors.Take(); !err.empty()) {
-    return RejectedStats(std::move(err));
+    return EnumerateStats::Rejected(std::move(err));
   }
 
-  EnumerateStats out = MergeShardStats(std::move(shard_stats));
+  EnumerateStats out;
+  for (const EnumerateStats& s : shard_stats) out.MergeShard(s);
   out.solutions = delivery.delivered();
   out.seconds = timer.ElapsedSeconds();
   return out;
@@ -496,36 +318,25 @@ bool ComponentShardingIsSafe(KPair k, size_t theta_left, size_t theta_right) {
 std::optional<EnumerateStats> TryRunParallel(const PreparedGraph& prepared,
                                              const EnumerateRequest& request,
                                              const AlgorithmRegistry& registry,
-                                             const AlgorithmInfo& info,
+                                             const AlgorithmBackend& backend,
                                              SolutionSink* sink) {
   const size_t threads = ResolveThreadCount(request.threads);
   if (threads < 2) return std::nullopt;
-  const BipartiteGraph& g = prepared.ExecutionGraph();
-  if (info.name == "brute-force") {
-    if (g.NumLeft() == 0) return std::nullopt;  // one mask; nothing to split
-    return RunParallelBruteForce(g, request, threads, sink);
+  WallTimer timer;
+  std::vector<Shard> shards;
+  if (std::optional<RangeDomain> domain =
+          backend.ParallelRange(prepared.ExecutionGraph())) {
+    if (domain->size == 1) return std::nullopt;  // nothing to split
+    shards = SplitRange(domain->size, threads * domain->slices_per_thread);
+  } else {
+    // Component sharding when it is safe and yields two or more shards,
+    // else the sequential engine. Splitting one component would have to
+    // turn off iTraversal's path-dependent exclusion strategy, which costs
+    // more than it gains.
+    shards = ComponentShards(prepared, request, backend);
+    if (shards.empty()) return std::nullopt;
   }
-  if (info.name == "imb") {
-    // Single root: nothing to split, run sequentially. The empty graph
-    // (0 roots) stays on the parallel plan so its result and stats schema
-    // match any other parallel imb run; its sole (0, 0) shard reports the
-    // empty biplex exactly like the sequential backend.
-    if (g.NumLeft() + g.NumRight() == 1) return std::nullopt;
-    return RunParallelImb(g, request, threads, sink);
-  }
-  // Like the component plan's max_links guard, the inflation baseline's
-  // max_inflated_edges is a per-enumeration memory guard: copying it into
-  // every component shard would multiply the allowed blow-up and flip OUT
-  // runs to "completed".
-  if (info.name == "inflation" &&
-      request.backend_options.count("max_inflated_edges") != 0) {
-    return std::nullopt;
-  }
-  // Everything else, the traversal family included: component sharding
-  // when it is safe and yields two or more shards, else the sequential
-  // engine. Splitting one component would have to turn off iTraversal's
-  // path-dependent exclusion strategy, which costs more than it gains.
-  return TryRunParallelComponents(prepared, request, registry, threads, sink);
+  return RunShards(prepared, request, registry, shards, threads, timer, sink);
 }
 
 }  // namespace internal

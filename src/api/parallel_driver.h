@@ -1,27 +1,30 @@
 // The multi-threaded enumeration driver behind EnumerateRequest::threads.
 //
 // Parallelism lives at the facade layer: every worker runs an existing
-// sequential engine on a shard chosen so that the union of the shards'
-// solution sets provably equals the sequential run's set. Three plans:
+// sequential backend on a shard chosen so that the union of the shards'
+// solution sets provably equals the sequential run's set. The split is
+// declared by the backend (api/registry.h), and one runner executes every
+// shard kind:
 //
-//   brute-force     left-mask ranges: each worker scans a slice of the
-//                   2^|L| candidate masks; maximality is judged against
-//                   the whole graph, so slices are disjoint and complete.
-//                   Always available.
-//   imb             root-branch ranges of the set-enumeration tree: the
-//                   top-level branches are independent, so a partition of
-//                   them across workers is disjoint and complete. Always
-//                   available.
-//   everything else connected-component sharding: each worker enumerates
-//   (traversal      one component's induced subgraph. Only equivalent
-//   family,         when the size thresholds provably exclude solutions
-//   large-mbp,      spanning several components (see
-//   inflation)      ComponentShardingIsSafe), and only useful when at
-//                   least two components can host a solution; otherwise
-//                   the facade runs the sequential engine. There is no
-//                   split inside one component: it would have to turn off
-//                   iTraversal's path-dependent exclusion strategy, and
-//                   the extra links cost more than the workers gain.
+//   range slices     the backend declares a range domain [0, n) on the
+//                    graph (brute-force: 2^|L| left masks; imb: |L|+|R|
+//                    set-enumeration root branches) and runs any slice of
+//                    it through Run with QueryContext::range_begin/end.
+//                    A one-element domain runs sequentially.
+//   components       every other backend: each worker enumerates one
+//                    connected component's induced subgraph. Only
+//                    equivalent when the size thresholds provably exclude
+//                    solutions spanning several components (see
+//                    ComponentShardingIsSafe), only when the backend allows
+//                    it for the request, and only useful when at least two
+//                    components can host a solution; otherwise the facade
+//                    runs the sequential engine. There is no split inside
+//                    one component: it would have to turn off iTraversal's
+//                    path-dependent exclusion strategy, and the extra links
+//                    cost more than the workers gain.
+//
+// Shard stats fold through EnumerateStats::MergeShard; a shard the time
+// budget expired before contributes the backend's NotStartedStats.
 //
 // Global budgets stay global: workers share one Delivery guarding the
 // caller's sink with a mutex and counting delivered solutions atomically;
@@ -58,17 +61,18 @@ bool ComponentShardingIsSafe(KPair k, size_t theta_left, size_t theta_right);
 
 /// Runs `request` with the multi-threaded driver against
 /// `prepared.ExecutionGraph()`, or returns nullopt when no equivalent
-/// parallel plan exists (single worker resolved, unsafe component
-/// sharding, degenerate graph) — the caller then runs the normal
-/// sequential path. The component plan consumes the prepared graph's
-/// cached component labeling instead of recomputing it per run. Solutions
-/// are delivered in execution-graph ids; renumbering map-back is the
-/// caller's concern. Pre-conditions: the request passed facade validation
-/// for `info` and request.threads >= 0.
+/// parallel split exists (single worker resolved, unsafe component
+/// sharding, degenerate graph) — the caller then runs `backend`
+/// sequentially. `backend` only answers the split hooks; every shard runs
+/// on a fresh backend from `registry`. Component shards consume the
+/// prepared graph's cached component labeling instead of recomputing it
+/// per run. Solutions are delivered in execution-graph ids; renumbering
+/// map-back is the caller's concern. Pre-conditions: the request passed
+/// facade validation for its algorithm and request.threads >= 0.
 std::optional<EnumerateStats> TryRunParallel(const PreparedGraph& prepared,
                                              const EnumerateRequest& request,
                                              const AlgorithmRegistry& registry,
-                                             const AlgorithmInfo& info,
+                                             const AlgorithmBackend& backend,
                                              SolutionSink* sink);
 
 }  // namespace internal

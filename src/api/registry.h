@@ -6,6 +6,7 @@
 #ifndef KBIPLEX_API_REGISTRY_H_
 #define KBIPLEX_API_REGISTRY_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -36,6 +37,19 @@ struct QueryContext {
   /// Cross-query scratch of the owning session, or null (per-run scratch).
   /// Never shared between concurrently running backends.
   TraversalScratch* scratch = nullptr;
+  /// Slice [range_begin, range_end) of the backend's range domain (see
+  /// AlgorithmBackend::ParallelRange) this run covers; range_end = 0 means
+  /// the whole domain. Backends without a range domain ignore it.
+  uint64_t range_begin = 0;
+  uint64_t range_end = 0;
+};
+
+/// A backend's range split on one graph: the domain [0, size) is cut into
+/// contiguous slices, `slices_per_thread` per worker (oversplit for load
+/// balance when slices differ in cost).
+struct RangeDomain {
+  uint64_t size = 0;
+  uint64_t slices_per_thread = 1;
 };
 
 /// One enumeration backend behind the unified API. Implementations apply
@@ -53,6 +67,37 @@ class AlgorithmBackend {
   virtual EnumerateStats Run(const QueryContext& ctx,
                              const EnumerateRequest& request,
                              SolutionSink* sink) = 0;
+
+  // Parallel split (api/parallel_driver.h). The driver runs every shard
+  // through Run on a fresh backend and folds the shard stats with
+  // EnumerateStats::MergeShard.
+
+  /// The backend's range domain on `g`, or nullopt if it declares none
+  /// (the driver then tries component shards). Runs over the slices of any
+  /// partition of [0, size) must deliver the sequential solution set with
+  /// no duplicates. A one-element domain has nothing to split and runs
+  /// sequentially.
+  virtual std::optional<RangeDomain> ParallelRange(
+      const BipartiteGraph& /*g*/) const {
+    return std::nullopt;
+  }
+
+  /// False iff running `request` per component would change its meaning
+  /// even where the size thresholds make component shards equivalent (a
+  /// per-run guard that every shard would otherwise get in full).
+  virtual bool ComponentShardsAllowed(
+      const EnumerateRequest& /*request*/) const {
+    return true;
+  }
+
+  /// Stats of a shard the time budget expired before: incomplete, with the
+  /// backend's detail block engaged and empty, so a truncated parallel run
+  /// keeps the stats schema of every other run of the backend.
+  virtual EnumerateStats NotStartedStats() const {
+    EnumerateStats out;
+    out.completed = false;
+    return out;
+  }
 };
 
 /// Capabilities and documentation of a registered backend, used by the

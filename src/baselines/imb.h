@@ -37,7 +37,8 @@ struct ImbOptions {
   /// right ids shifted by |L|). Root branches are independent, so a
   /// partition of [0, |L|+|R|) across runs yields exactly the full
   /// solution set with no duplicates. root_end = 0 means "all branches".
-  /// This is the sharding hook of the parallel enumeration driver (api/).
+  /// The "imb" backend declares [0, |L|+|R|) as its range domain for the
+  /// parallel split (api/registry.h).
   size_t root_begin = 0;
   size_t root_end = 0;
 };

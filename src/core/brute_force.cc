@@ -49,17 +49,8 @@ bool MaskIsKBiplex(const MaskGraph& m, uint32_t lmask, uint32_t rmask,
 
 std::vector<Biplex> BruteForceMaximalBiplexes(const BipartiteGraph& g,
                                               KPair k) {
-  return BruteForceMaximalBiplexes(g, k, nullptr, nullptr, nullptr);
-}
-
-std::vector<Biplex> BruteForceMaximalBiplexes(const BipartiteGraph& g,
-                                              KPair k,
-                                              const Deadline* deadline,
-                                              const CancellationToken* cancel,
-                                              bool* completed) {
-  return BruteForceMaximalBiplexesMaskRange(
-      g, k, deadline, cancel, completed, 0,
-      uint64_t{1} << g.NumLeft());
+  return BruteForceMaximalBiplexesMaskRange(g, k, nullptr, nullptr, nullptr,
+                                            0, uint64_t{1} << g.NumLeft());
 }
 
 std::vector<Biplex> BruteForceMaximalBiplexesMaskRange(

@@ -25,23 +25,17 @@ inline std::vector<Biplex> BruteForceMaximalBiplexes(const BipartiteGraph& g,
   return BruteForceMaximalBiplexes(g, KPair::Uniform(k));
 }
 
-/// Interruptible variant: polls `deadline` and `cancel` (either may be
-/// null) every 2^16 candidate masks. When one fires the scan stops,
-/// `*completed` (if non-null) is set to false, and the solutions found so
-/// far are returned — a partial set, since candidates are visited in mask
-/// order, not canonical order.
-std::vector<Biplex> BruteForceMaximalBiplexes(const BipartiteGraph& g,
-                                              KPair k,
-                                              const Deadline* deadline,
-                                              const CancellationToken* cancel,
-                                              bool* completed);
-
-/// Shard of the exhaustive scan: checks only candidate pairs whose
-/// left-side mask lies in [lmask_begin, lmask_end). Maximality is still
-/// judged against the whole graph, so the union of the shards over a
-/// partition of [0, 2^|L|) is exactly the full solution set, with no
-/// duplicates across shards. This is the sharding hook of the parallel
-/// enumeration driver (api/); lmask_end is clamped to 2^|L|.
+/// Interruptible slice of the exhaustive scan: checks only candidate
+/// pairs whose left-side mask lies in [lmask_begin, lmask_end)
+/// (lmask_end is clamped to 2^|L|). Maximality is still judged against
+/// the whole graph, so the union of the slices over a partition of
+/// [0, 2^|L|) is exactly the full solution set, with no duplicates across
+/// slices; the "brute-force" backend declares that range domain as its
+/// parallel split (api/registry.h). Polls `deadline` and `cancel` (either
+/// may be null) every 2^16 candidate masks. When one fires the scan
+/// stops, `*completed` (if non-null) is set to false, and the solutions
+/// found so far are returned — a partial set, since candidates are
+/// visited in mask order, not canonical order.
 std::vector<Biplex> BruteForceMaximalBiplexesMaskRange(
     const BipartiteGraph& g, KPair k, const Deadline* deadline,
     const CancellationToken* cancel, bool* completed, uint64_t lmask_begin,

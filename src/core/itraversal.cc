@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "baselines/inflation_enum.h"
+#include "core/solution_store.h"
 #include "graph/adjacency_index.h"
 #include "util/arena_pool.h"
 #include "util/dynamic_bitset.h"
@@ -131,7 +132,7 @@ class TraversalEngine::Impl {
   TraversalStats Run(const SolutionCallback& cb) {
     stats_ = TraversalStats();
     cb_ = &cb;
-    store_ = std::make_unique<SolutionStore>(opts_.store_backend);
+    store_ = std::make_unique<SolutionStore>();
     stop_ = false;
     WallTimer timer;
     Deadline deadline(opts_.time_budget_seconds);

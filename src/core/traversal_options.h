@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "core/enum_almost_sat.h"
-#include "core/solution_store.h"
 #include "core/traversal_scratch.h"
 #include "util/cancellation.h"
 #include "util/common.h"
@@ -118,9 +117,6 @@ struct TraversalOptions {
   /// wall-clock deadline; a cancelled run stops with completed = false.
   /// Not owned; may be null.
   const CancellationToken* cancel = nullptr;
-
-  /// Backend of the solution store.
-  StoreBackend store_backend = StoreBackend::kBTree;
 
   /// Step-1 candidate generation strategy (see CandidateGenMode). Every
   /// mode yields the exact same solution set; only the work differs.

@@ -293,8 +293,7 @@ TEST(BackendOptions, VariantsEnumerateTheSameSet) {
            {"local_impl", "inflation"},
            {"local_l", "l10"},
            {"local_r", "r10"},
-           {"polynomial_delay_output", "false"},
-           {"store_backend", "both"}}) {
+           {"polynomial_delay_output", "false"}}) {
     EnumerateRequest req = base;
     req.backend_options[key] = value;
     EnumerateStats stats;

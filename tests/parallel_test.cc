@@ -495,5 +495,37 @@ TEST(ParallelImb, BudgetExpiredRunKeepsStatsSchema) {
       << "seq: " << seq.ToJson() << "\npar: " << par.ToJson();
 }
 
+// Regression: the component plan dropped the backend's detail block the
+// same way when the budget expired before any shard started, so the JSON
+// of large-mbp, the traversal family and inflation lost their
+// "large_mbp"/"traversal"/"inflation" key. Every backend, whatever shard
+// kind it runs, must keep the schema of its 1-thread run.
+TEST(ParallelBudgets, BudgetExpiredRunKeepsStatsSchemaForEveryBackend) {
+  // Two disjoint blocks with thresholds that make component shards safe.
+  const BipartiteGraph g =
+      DisjointUnion(CompleteBipartite(5, 5), CompleteBipartite(5, 5));
+  Enumerator enumerator(g);
+  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+    EnumerateRequest req;
+    req.algorithm = name;
+    req.theta_left = 3;
+    req.theta_right = 3;
+    req.time_budget_seconds = 1e-12;  // expired before any shard starts
+
+    req.threads = 1;
+    EnumerateStats seq;
+    enumerator.Collect(req, &seq);
+    ASSERT_TRUE(seq.ok()) << name << ": " << seq.error;
+
+    req.threads = 4;
+    EnumerateStats par;
+    enumerator.Collect(req, &par);
+    ASSERT_TRUE(par.ok()) << name << ": " << par.error;
+    EXPECT_FALSE(par.completed) << name;
+    EXPECT_EQ(JsonKeys(par.ToJson()), JsonKeys(seq.ToJson()))
+        << name << "\nseq: " << seq.ToJson() << "\npar: " << par.ToJson();
+  }
+}
+
 }  // namespace
 }  // namespace kbiplex

@@ -7,10 +7,8 @@
 namespace kbiplex {
 namespace {
 
-class SolutionStoreTest : public ::testing::TestWithParam<StoreBackend> {};
-
-TEST_P(SolutionStoreTest, InsertContainsSize) {
-  SolutionStore store(GetParam());
+TEST(SolutionStore, InsertContainsSize) {
+  SolutionStore store;
   Biplex a{{0, 1}, {2}};
   Biplex b{{0}, {1, 2}};
   EXPECT_TRUE(store.Insert(a));
@@ -22,8 +20,8 @@ TEST_P(SolutionStoreTest, InsertContainsSize) {
   EXPECT_FALSE(store.Contains(Biplex{{0, 1}, {}}));
 }
 
-TEST_P(SolutionStoreTest, ToVectorReturnsAll) {
-  SolutionStore store(GetParam());
+TEST(SolutionStore, ToVectorReturnsAll) {
+  SolutionStore store;
   std::vector<Biplex> inserted;
   for (VertexId i = 0; i < 20; ++i) {
     Biplex b{{i}, {i, i + 1}};
@@ -37,21 +35,16 @@ TEST_P(SolutionStoreTest, ToVectorReturnsAll) {
   EXPECT_EQ(out, inserted);
 }
 
-TEST_P(SolutionStoreTest, DistinguishesSideAssignment) {
-  SolutionStore store(GetParam());
+TEST(SolutionStore, DistinguishesSideAssignment) {
+  SolutionStore store;
   EXPECT_TRUE(store.Insert(Biplex{{1}, {2}}));
   EXPECT_TRUE(store.Insert(Biplex{{1, 2}, {}}));
   EXPECT_TRUE(store.Insert(Biplex{{}, {1, 2}}));
   EXPECT_EQ(store.Size(), 3u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, SolutionStoreTest,
-                         ::testing::Values(StoreBackend::kBTree,
-                                           StoreBackend::kHashSet,
-                                           StoreBackend::kBoth));
-
 TEST(SolutionStore, BTreeIteratesInCanonicalOrder) {
-  SolutionStore store(StoreBackend::kBTree);
+  SolutionStore store;
   store.Insert(Biplex{{2}, {0}});
   store.Insert(Biplex{{1}, {5}});
   store.Insert(Biplex{{1}, {3}});

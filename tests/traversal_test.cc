@@ -243,16 +243,6 @@ TEST(Traversal, RightAnchoredEnumeratesSameSet) {
   }
 }
 
-// ------------------------------------------------------- store backends ---
-
-TEST(Traversal, BothStoreBackendsAgree) {
-  auto g = MakeRandomGraph({7, 7, 0.5, 31});
-  TraversalOptions opts = MakeITraversalOptions(1);
-  opts.store_backend = StoreBackend::kBoth;  // asserts internally
-  auto got = CollectWith(g, opts);
-  EXPECT_EQ(got, BruteForceMaximalBiplexes(g, 1));
-}
-
 // ------------------------------------------------- inflation local impl ---
 
 TEST(Traversal, InflationLocalEnumMatchesDirect) {
