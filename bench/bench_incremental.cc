@@ -1,6 +1,6 @@
 // Incremental update benchmark: the cost of publishing a new epoch via
-// PreparedGraph::ApplyUpdates (CSR splice, patched adjacency index,
-// union-find component relabel, carried core bound) versus a full
+// PreparedGraph::ApplyUpdates (CSR splice, union-find component relabel,
+// carried core bound) versus a full
 // re-Prepare of the mutated edge list, at delta sizes of 0.1%, 1% and 10%
 // of the edges. Both paths end fully warmed (every artifact built), so
 // the speedup compares equal end states.
@@ -8,10 +8,8 @@
 // Correctness gate first: on a small random graph, a chain of update
 // batches applied incrementally must enumerate the exact same sorted
 // solution set as a fresh Prepare of the final edge list, for every
-// backend in the registry, sequentially and with threads=4, under
-// renumbering + a forced adjacency index with a row budget that yields
-// mixed dense/sparse/dropped rows. Any divergence aborts the benchmark —
-// a fast wrong answer is not a result.
+// backend in the registry, sequentially and with threads=4. Any
+// divergence aborts the benchmark — a fast wrong answer is not a result.
 //
 // Results are recorded in BENCH_incremental.json. Flags: --smoke (tiny
 // sizes for CI), --full (the committed configuration).
@@ -117,14 +115,7 @@ size_t AgreementGate(bool smoke, BenchJsonWriter* json) {
   Rng rng(2024);
   BipartiteGraph start = ErdosRenyiBipartite(nl, nr, ne, &rng);
 
-  PrepareOptions prep;
-  prep.renumber = true;
-  prep.adjacency_index = AdjacencyAccelMode::kForce;
-  prep.adjacency_min_degree = 1;
-  // A budget too small for all-dense rows: the patched index must
-  // reproduce the planner's mixed dense/sparse/dropped layout.
-  prep.accel_budget_bytes = 256;
-
+  const PrepareOptions prep;
   auto incremental = PreparedGraph::Prepare(BipartiteGraph(start), prep);
   incremental->Warmup();
   const int rounds = smoke ? 2 : 4;
@@ -281,17 +272,12 @@ int main(int argc, char** argv) {
   AgreementGate(smoke, &json);
 
   // Timing workload: a graph big enough that a full re-Prepare (edge sort,
-  // degeneracy renumber, index build, component BFS, core peel) costs
-  // measurable milliseconds, under the serving configuration (renumber +
-  // forced index under a memory budget, i.e. mixed compressed rows).
+  // component BFS, core peel) costs measurable milliseconds.
   const size_t nl = smoke ? 200 : 20000, nr = smoke ? 200 : 20000;
   const size_t ne = smoke ? 4000 : 1200000;
   Rng rng(99);
   const BipartiteGraph base = ErdosRenyiBipartite(nl, nr, ne, &rng);
-  PrepareOptions prep;
-  prep.renumber = true;
-  prep.adjacency_index = AdjacencyAccelMode::kForce;
-  prep.accel_budget_bytes = smoke ? 64 * 1024 : 8 * 1024 * 1024;
+  const PrepareOptions prep;
   auto warmed = PreparedGraph::Prepare(BipartiteGraph(base), prep);
   warmed->Warmup();
 

@@ -12,10 +12,8 @@
 #include "bench_common.h"
 #include "core/biplex.h"
 #include "core/enum_almost_sat.h"
-#include "graph/adjacency_index.h"
 #include "graph/core_decomposition.h"
 #include "graph/generators.h"
-#include "graph/renumber.h"
 #include "index/btree.h"
 #include "util/dynamic_bitset.h"
 #include "util/random.h"
@@ -193,26 +191,9 @@ void BM_ITraversalFirst100(benchmark::State& state) {
 }
 BENCHMARK(BM_ITraversalFirst100);
 
-// The same workload with the full acceleration stack: attached adjacency
-// index + 2-hop-eligible configuration. Compare against
-// BM_ITraversalFirst100 to see the constant-factor win.
-void BM_ITraversalFirst100Accel(benchmark::State& state) {
-  auto g = bench::MakeDataset(bench::FindDataset("Crime"));
-  g.BuildAdjacencyIndex();
-  Enumerator enumerator(g);
-  for (auto _ : state) {
-    CountingSink sink;
-    enumerator.Run(bench::MakeRequest("itraversal", 1, 100, 0), &sink);
-    benchmark::DoNotOptimize(sink.count());
-  }
-}
-BENCHMARK(BM_ITraversalFirst100Accel);
-
 void BM_AdjacencyTest(benchmark::State& state) {
-  const bool indexed = state.range(0) != 0;
   Rng rng(8);
   auto g = ErdosRenyiBipartite(2000, 2000, 200000, &rng);
-  if (indexed) g.BuildAdjacencyIndex();
   std::vector<std::pair<VertexId, VertexId>> probes;
   for (size_t i = 0; i < 1024; ++i) {
     probes.emplace_back(static_cast<VertexId>(rng.NextBelow(2000)),
@@ -224,7 +205,7 @@ void BM_AdjacencyTest(benchmark::State& state) {
     benchmark::DoNotOptimize(g.IsAdjacent(Side::kLeft, l, r));
   }
 }
-BENCHMARK(BM_AdjacencyTest)->Arg(0)->Arg(1);
+BENCHMARK(BM_AdjacencyTest);
 
 void BM_BitsetIntersectCount(benchmark::State& state) {
   const size_t bits = static_cast<size_t>(state.range(0));
@@ -255,20 +236,6 @@ void BM_SortedContains(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SortedContains)->Arg(4)->Arg(16)->Arg(64)->Arg(1024);
-
-void BM_RenumberByDegeneracy(benchmark::State& state) {
-  const size_t edges = static_cast<size_t>(state.range(0));
-  Rng rng(11);
-  auto g = PowerLawBipartiteAsym(edges / 4, edges / 16, edges, 3.0, 2.2,
-                                 &rng);
-  for (auto _ : state) {
-    auto r = RenumberByDegeneracy(g);
-    benchmark::DoNotOptimize(r.graph.NumEdges());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(edges));
-}
-BENCHMARK(BM_RenumberByDegeneracy)->Arg(100000);
 
 }  // namespace
 }  // namespace kbiplex

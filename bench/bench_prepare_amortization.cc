@@ -1,15 +1,11 @@
 // Prepare/execute amortization benchmark: the cost of answering N queries
-// over one graph through the one-shot Enumerate facade (every call
-// rebuilds its adjacency index and rediscovers every artifact) versus one
-// PreparedGraph::Prepare followed by N QuerySession executes (index built
-// once, degeneracy renumbering applied once, engine scratch carried
-// across queries).
+// over one graph through the one-shot Enumerate facade (every call starts
+// from fresh engine scratch) versus one PreparedGraph::Prepare followed by
+// N QuerySession executes (components and core bound built once, engine
+// scratch carried across queries).
 //
-// The workload is the dense synthetic large-MBP shape of
-// bench_candidate_gen (scaled to keep the 10x one-shot loop laptop-fast):
-// both paths run the identical request with adjacency_index=force, so the
-// one-shot path pays an index build per call while the session path
-// amortizes it — plus the renumbering win no one-shot call can access.
+// The workload is a dense synthetic large-MBP shape, scaled to keep the
+// 10x one-shot loop laptop-fast; both paths run the identical request.
 // Every run must deliver the same solution count; a mismatch aborts.
 //
 // Results print as a table and are recorded in
@@ -49,10 +45,6 @@ EnumerateRequest WorkloadRequest(const Workload& w) {
   EnumerateRequest req = MakeRequest("itraversal", w.k, w.max_results, 0);
   req.theta_left = w.theta;
   req.theta_right = w.theta;
-  // The acceptance configuration: force the bitset adjacency index in both
-  // paths. One-shot calls build a throwaway engine-local index every time;
-  // the session consumes the one attached at prepare time.
-  req.backend_options["adjacency_index"] = "force";
   return req;
 }
 
@@ -63,8 +55,7 @@ void RunWorkload(const Workload& w, const std::vector<uint64_t>& execute_counts,
       ErdosRenyiBipartite(w.num_left, w.num_right, w.num_edges, &rng);
   const EnumerateRequest req = WorkloadRequest(w);
 
-  std::printf("%s: %zux%zu, %zu edges, k=%d, theta=%zu, first %llu, "
-              "adjacency_index=force\n",
+  std::printf("%s: %zux%zu, %zu edges, k=%d, theta=%zu, first %llu\n",
               w.name.c_str(), plain.NumLeft(), plain.NumRight(),
               plain.NumEdges(), w.k, w.theta,
               static_cast<unsigned long long>(w.max_results));
@@ -80,14 +71,11 @@ void RunWorkload(const Workload& w, const std::vector<uint64_t>& execute_counts,
     }
     const double one_shot_seconds = one_shot_timer.ElapsedSeconds();
 
-    // One prepare + N session executes. The prepare (renumbering + index
-    // attach) happens inside the timed region: the speedup charges the
-    // session path its full setup cost.
+    // One prepare + N session executes. The prepare and warmup happen
+    // inside the timed region: the speedup charges the session path its
+    // full setup cost.
     WallTimer session_timer;
-    PrepareOptions prep;
-    prep.adjacency_index = AdjacencyAccelMode::kForce;
-    prep.renumber = true;
-    auto prepared = PreparedGraph::Prepare(BipartiteGraph(plain), prep);
+    auto prepared = PreparedGraph::Prepare(BipartiteGraph(plain));
     prepared->Warmup();
     const double prepare_seconds = session_timer.ElapsedSeconds();
     QuerySession session(prepared);
@@ -104,7 +92,6 @@ void RunWorkload(const Workload& w, const std::vector<uint64_t>& execute_counts,
     const double session_seconds = session_timer.ElapsedSeconds();
 
     if (session_solutions != one_shot_solutions) {
-      // Renumbering permutes ids but never the solution count.
       std::fprintf(
           stderr, "FATAL: session found %llu solutions, one-shot %llu\n",
           static_cast<unsigned long long>(session_solutions),
@@ -157,10 +144,10 @@ int main(int argc, char** argv) {
     w = {"dense-smoke", 20, 20, 90, 41, 1, 3, 100};
     execute_counts = {1, 10};
   } else {
-    // The dense large-MBP shape of bench_candidate_gen at a size where one
-    // one-shot query costs a few hundred milliseconds, so the 10x one-shot
-    // loop stays laptop-fast; --full adds the (slow by construction)
-    // 100-execute one-shot loop.
+    // A dense large-MBP shape at a size where one one-shot query costs a
+    // few hundred milliseconds, so the 10x one-shot loop stays
+    // laptop-fast; --full adds the (slow by construction) 100-execute
+    // one-shot loop.
     w = {"dense", 110, 110, 4840, 41, 1, 7, 150};
     execute_counts = quick ? std::vector<uint64_t>{1, 10}
                            : std::vector<uint64_t>{1, 10, 100};

@@ -1,8 +1,7 @@
 // Multi-query serving with the prepare/execute API: load (or synthesize)
-// a graph once, prepare it (attached adjacency index + degeneracy
-// renumbering + cached component/core artifacts), then answer a batch of
-// different queries through one QuerySession — the pattern a k-biplex
-// service uses to amortize preprocessing over its query stream.
+// a graph once, prepare it (cached component/core artifacts), then answer
+// a batch of different queries through one QuerySession — the pattern a
+// k-biplex service uses to amortize preprocessing over its query stream.
 //
 //   ./multi_query_service            (uses a built-in synthetic graph)
 //   ./multi_query_service <edge-list-file>
@@ -34,13 +33,9 @@ int main(int argc, char** argv) {
   std::cout << "Graph: |L| = " << g.NumLeft() << ", |R| = " << g.NumRight()
             << ", |E| = " << g.NumEdges() << "\n";
 
-  // Prepare once. kForce attaches the hybrid bitset adjacency index
-  // unconditionally; renumber = true enumerates on the degeneracy order
-  // (cache-friendly) with automatic map-back to input ids.
-  PrepareOptions prep;
-  prep.adjacency_index = AdjacencyAccelMode::kForce;
-  prep.renumber = true;
-  auto prepared = PreparedGraph::Prepare(std::move(g), prep);
+  // Prepare once: queries run on the input graph itself, sharing the
+  // cached artifacts.
+  auto prepared = PreparedGraph::Prepare(std::move(g));
   prepared->Warmup();  // build all artifacts now instead of on first query
   std::cout << "Prepared: core bound = " << prepared->MaxUniformCore()
             << ", components = " << prepared->Components().num_components

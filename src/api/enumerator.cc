@@ -8,6 +8,7 @@
 
 #include "api/prepared_graph.h"
 #include "api/query_session.h"
+#include "api/request_parse.h"
 #include "baselines/imb.h"
 #include "baselines/inflation_enum.h"
 #include "core/brute_force.h"
@@ -39,10 +40,7 @@ class OptionReader {
 
   void TakeSize(const std::string& key, size_t* out) {
     auto v = Take(key);
-    if (!v.has_value()) return;
-    try {
-      *out = static_cast<size_t>(std::stoull(*v));
-    } catch (...) {
+    if (v.has_value() && !ParseSize(*v, out)) {
       Fail(key, *v, "a non-negative integer");
     }
   }
@@ -97,23 +95,6 @@ class OptionReader {
   std::string error_;
 };
 
-/// Parses the hot-path acceleration choices shared by the traversal
-/// family and large-mbp (see core/traversal_options.h).
-template <typename Options>
-void TakeAccelOptions(OptionReader* reader, Options* opts) {
-  reader->TakeChoice("candidate_gen",
-                     {{"auto", CandidateGenMode::kAuto},
-                      {"scan", CandidateGenMode::kScan},
-                      {"twohop", CandidateGenMode::kTwoHop}},
-                     &opts->candidate_gen);
-  reader->TakeChoice("adjacency_index",
-                     {{"auto", AdjacencyAccelMode::kAuto},
-                      {"off", AdjacencyAccelMode::kOff},
-                      {"force", AdjacencyAccelMode::kForce}},
-                     &opts->adjacency_accel);
-  reader->TakeSize("accel_budget", &opts->accel_budget_bytes);
-}
-
 /// NotStartedStats for a backend whose detail block is `detail`.
 template <typename EngineStats>
 EnumerateStats NotStartedWith(
@@ -157,7 +138,7 @@ class TraversalBackend final : public AlgorithmBackend {
 
   EnumerateStats Run(const QueryContext& ctx, const EnumerateRequest& req,
                      SolutionSink* sink) override {
-    const BipartiteGraph& g = ctx.prepared->ExecutionGraph();
+    const BipartiteGraph& g = ctx.prepared->graph();
     TraversalOptions opts = base_;
     opts.scratch = ctx.scratch;
     opts.k = req.k;
@@ -186,7 +167,6 @@ class TraversalBackend final : public AlgorithmBackend {
                       &opts.local.r_variant);
     reader.TakeBool("polynomial_delay_output",
                     &opts.polynomial_delay_output);
-    TakeAccelOptions(&reader, &opts);
     if (std::string err = reader.Finish(); !err.empty()) {
       return EnumerateStats::Rejected(std::move(err));
     }
@@ -222,7 +202,7 @@ class LargeMbpBackend final : public AlgorithmBackend {
  public:
   EnumerateStats Run(const QueryContext& ctx, const EnumerateRequest& req,
                      SolutionSink* sink) override {
-    const BipartiteGraph& g = ctx.prepared->ExecutionGraph();
+    const BipartiteGraph& g = ctx.prepared->graph();
     LargeMbpOptions opts;
     opts.scratch = ctx.scratch;
     opts.k = req.k;
@@ -234,7 +214,6 @@ class LargeMbpBackend final : public AlgorithmBackend {
 
     OptionReader reader(req.backend_options);
     reader.TakeBool("core_reduction", &opts.core_reduction);
-    TakeAccelOptions(&reader, &opts);
     if (std::string err = reader.Finish(); !err.empty()) {
       return EnumerateStats::Rejected(std::move(err));
     }
@@ -263,7 +242,7 @@ class ImbBackend final : public AlgorithmBackend {
  public:
   EnumerateStats Run(const QueryContext& ctx, const EnumerateRequest& req,
                      SolutionSink* sink) override {
-    const BipartiteGraph& g = ctx.prepared->ExecutionGraph();
+    const BipartiteGraph& g = ctx.prepared->graph();
     ImbOptions opts;
     opts.k = req.k.left;  // uniformity validated by the facade
     opts.theta_left = req.theta_left;
@@ -312,7 +291,7 @@ class InflationBackend final : public AlgorithmBackend {
  public:
   EnumerateStats Run(const QueryContext& ctx, const EnumerateRequest& req,
                      SolutionSink* sink) override {
-    const BipartiteGraph& g = ctx.prepared->ExecutionGraph();
+    const BipartiteGraph& g = ctx.prepared->graph();
     InflationBaselineOptions opts;
     opts.k = req.k.left;  // uniformity validated by the facade
     opts.time_budget_seconds = req.time_budget_seconds;
@@ -361,7 +340,7 @@ class BruteForceBackend final : public AlgorithmBackend {
  public:
   EnumerateStats Run(const QueryContext& ctx, const EnumerateRequest& req,
                      SolutionSink* sink) override {
-    const BipartiteGraph& g = ctx.prepared->ExecutionGraph();
+    const BipartiteGraph& g = ctx.prepared->graph();
     OptionReader reader(req.backend_options);
     if (std::string err = reader.Finish(); !err.empty()) {
       return EnumerateStats::Rejected(std::move(err));

@@ -30,24 +30,8 @@
 //                     "local_l"                  l10 | l20
 //                     "local_r"                  r10 | r20
 //                     "polynomial_delay_output"  true | false
-//                     "candidate_gen"            auto | scan | twohop
-//                     "adjacency_index"          auto | off | force
-//                     "accel_budget"             <bytes>  (0 = unlimited)
 //   large-mbp:        "core_reduction"           true | false
-//                     "candidate_gen"            auto | scan | twohop
-//                     "adjacency_index"          auto | off | force
-//                     "accel_budget"             <bytes>  (0 = unlimited)
 //   inflation:        "max_inflated_edges"       <N>  (0 = no guard)
-//
-// "candidate_gen" and "adjacency_index" tune the hot-path acceleration of
-// the traversal engines (see core/traversal_options.h); every setting
-// produces the exact same solution set. "adjacency_index" = off stops the
-// engine from building its own index but does not disable an index
-// already attached to the graph — benchmark baselines should use a graph
-// without BuildAdjacencyIndex. "accel_budget" caps the bytes of an
-// engine-local index by demoting rows to compact sorted arrays and then
-// dropping rows back to CSR search (graph/adjacency_index.h); like the
-// other acceleration knobs it never changes the solution set.
 #ifndef KBIPLEX_API_ENUMERATOR_H_
 #define KBIPLEX_API_ENUMERATOR_H_
 

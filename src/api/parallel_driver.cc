@@ -178,7 +178,7 @@ std::vector<Shard> ComponentShards(const PreparedGraph& prepared,
   // budget into a per-shard one (a truncated 1-thread run could "complete"
   // in parallel). Run sequentially rather than change its meaning.
   if (request.max_links != 0) return {};
-  const BipartiteGraph& g = prepared.ExecutionGraph();
+  const BipartiteGraph& g = prepared.graph();
 
   // Cheap labeling pass first (cached on the prepared graph, so repeated
   // parallel queries of one session pay for it once): a component too
@@ -325,7 +325,7 @@ std::optional<EnumerateStats> TryRunParallel(const PreparedGraph& prepared,
   WallTimer timer;
   std::vector<Shard> shards;
   if (std::optional<RangeDomain> domain =
-          backend.ParallelRange(prepared.ExecutionGraph())) {
+          backend.ParallelRange(prepared.graph())) {
     if (domain->size == 1) return std::nullopt;  // nothing to split
     shards = SplitRange(domain->size, threads * domain->slices_per_thread);
   } else {

@@ -60,15 +60,14 @@ size_t ResolveThreadCount(int threads);
 bool ComponentShardingIsSafe(KPair k, size_t theta_left, size_t theta_right);
 
 /// Runs `request` with the multi-threaded driver against
-/// `prepared.ExecutionGraph()`, or returns nullopt when no equivalent
+/// `prepared.graph()`, or returns nullopt when no equivalent
 /// parallel split exists (single worker resolved, unsafe component
 /// sharding, degenerate graph) — the caller then runs `backend`
 /// sequentially. `backend` only answers the split hooks; every shard runs
 /// on a fresh backend from `registry`. Component shards consume the
 /// prepared graph's cached component labeling instead of recomputing it
-/// per run. Solutions are delivered in execution-graph ids; renumbering
-/// map-back is the caller's concern. Pre-conditions: the request passed
-/// facade validation for its algorithm and request.threads >= 0.
+/// per run. Pre-conditions: the request passed facade validation for its
+/// algorithm and request.threads >= 0.
 std::optional<EnumerateStats> TryRunParallel(const PreparedGraph& prepared,
                                              const EnumerateRequest& request,
                                              const AlgorithmRegistry& registry,

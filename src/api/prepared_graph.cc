@@ -72,13 +72,9 @@ std::shared_ptr<const PreparedGraph> PreparedGraph::Prepare(
 
 std::shared_ptr<const PreparedGraph> PreparedGraph::Borrow(
     const BipartiteGraph& g) {
-  // A borrowed graph is never mutated, so every artifact that would attach
-  // to it is disabled — and the shim semantics (pre-session behavior,
-  // byte for byte) also rule out the short-circuit; execution matches a
-  // direct run on `g`.
+  // The shim semantics (pre-session behavior, byte for byte) rule out the
+  // short-circuit; execution matches a direct run on `g`.
   PrepareOptions options;
-  options.adjacency_index = AdjacencyAccelMode::kOff;
-  options.renumber = false;
   options.core_bound_shortcut = false;
   return std::shared_ptr<const PreparedGraph>(new PreparedGraph(&g, options));
 }
@@ -92,56 +88,10 @@ PreparedGraph::PreparedGraph(const BipartiteGraph* view,
                              PrepareOptions options)
     : options_(options), graph_(view) {}
 
-void PreparedGraph::BuildExecutionGraph() const {
-  WallTimer timer;
-  BipartiteGraph* target = owned_.get();  // null in view mode
-  if (options_.renumber) {
-    renumbering_ = RenumberByDegeneracy(*graph_);
-    target = &renumbering_.graph;
-  }
-  bool attach = false;
-  switch (options_.adjacency_index) {
-    case AdjacencyAccelMode::kOff:
-      break;
-    case AdjacencyAccelMode::kAuto:
-      // Same threshold at which an engine would build a throwaway per-run
-      // index, so kAuto never attaches where no engine would want one.
-      attach = graph_->NumEdges() >= kAutoIndexMinEdges;
-      break;
-    case AdjacencyAccelMode::kForce:
-      attach = true;
-      break;
-  }
-  if (attach && target != nullptr) {
-    target->BuildAdjacencyIndex(options_.adjacency_min_degree,
-                                options_.accel_budget_bytes);
-    counters_.RecordAdjacency(*target->adjacency_index());
-  }
-  exec_graph_ = target != nullptr ? target : graph_;
-  counters_.Count(&PrepareArtifactStats::execution_graph_builds,
-                  timer.ElapsedSeconds());
-}
-
-const BipartiteGraph& PreparedGraph::ExecutionGraph() const {
-  std::call_once(exec_once_, [this] {
-    BuildExecutionGraph();
-    exec_built_.store(true, std::memory_order_release);
-  });
-  return *exec_graph_;
-}
-
-const RenumberedGraph& PreparedGraph::Renumbering() const {
-  ExecutionGraph();  // ensure the renumbering is built
-  return renumbering_;
-}
-
 const ComponentLabeling& PreparedGraph::Components() const {
   std::call_once(components_once_, [this] {
-    // Resolve the execution graph before starting the timer so a lazily
-    // triggered renumber/index build is not double-counted here.
-    const BipartiteGraph& g = ExecutionGraph();
     WallTimer timer;
-    components_ = LabelConnectedComponents(g);
+    components_ = LabelConnectedComponents(*graph_);
     counters_.Count(&PrepareArtifactStats::component_builds,
                     timer.ElapsedSeconds());
     components_built_.store(true, std::memory_order_release);
@@ -152,12 +102,11 @@ const ComponentLabeling& PreparedGraph::Components() const {
 const std::vector<InducedSubgraph>& PreparedGraph::ComponentSubgraphs()
     const {
   std::call_once(component_subgraphs_once_, [this] {
-    const BipartiteGraph& g = ExecutionGraph();  // outside the timed region
     WallTimer timer;
     // ConnectedComponents numbers components exactly like
     // LabelConnectedComponents (by smallest (side, id) vertex), so the
     // result is index-aligned with Components() by construction.
-    component_subgraphs_ = ConnectedComponents(g);
+    component_subgraphs_ = ConnectedComponents(*graph_);
     counters_.Count(&PrepareArtifactStats::component_subgraph_builds,
                     timer.ElapsedSeconds());
   });
@@ -166,9 +115,8 @@ const std::vector<InducedSubgraph>& PreparedGraph::ComponentSubgraphs()
 
 size_t PreparedGraph::MaxUniformCore() const {
   std::call_once(core_bound_once_, [this] {
-    const BipartiteGraph& g = ExecutionGraph();  // outside the timed region
     WallTimer timer;
-    max_uniform_core_ = ComputeMaxUniformCore(g);
+    max_uniform_core_ = ComputeMaxUniformCore(*graph_);
     counters_.Count(&PrepareArtifactStats::core_bound_builds,
                     timer.ElapsedSeconds());
     core_bound_built_.store(true, std::memory_order_release);
@@ -177,7 +125,6 @@ size_t PreparedGraph::MaxUniformCore() const {
 }
 
 void PreparedGraph::Warmup() const {
-  ExecutionGraph();
   Components();
   MaxUniformCore();
 }
@@ -188,18 +135,12 @@ PrepareArtifactStats PreparedGraph::artifact_stats() const {
 
 std::string PrepareArtifactStats::ToJson() const {
   std::ostringstream os;
-  os << "{\"execution_graph_builds\":" << execution_graph_builds
-     << ",\"component_builds\":" << component_builds
+  os << "{\"component_builds\":" << component_builds
      << ",\"component_subgraph_builds\":" << component_subgraph_builds
      << ",\"core_bound_builds\":" << core_bound_builds
      << ",\"build_seconds\":";
   json::AppendDouble(os, build_seconds);
-  os << ",\"adjacency_memory_bytes\":" << adjacency_memory_bytes
-     << ",\"adjacency_dense_rows\":" << adjacency_dense_rows
-     << ",\"adjacency_sparse_rows\":" << adjacency_sparse_rows
-     << ",\"adjacency_dropped_rows\":" << adjacency_dropped_rows
-     << ",\"adjacency_dense_bytes\":" << adjacency_dense_bytes
-     << ",\"adjacency_sparse_bytes\":" << adjacency_sparse_bytes << '}';
+  os << ",\"adjacency_memory_bytes\":" << adjacency_memory_bytes << '}';
   return os.str();
 }
 

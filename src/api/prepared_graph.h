@@ -1,15 +1,13 @@
 // The "prepare" half of the prepare/execute API: an immutable, shareable
-// PreparedGraph owns a loaded BipartiteGraph plus the expensive
-// preprocessing artifacts every query over that graph wants — the hybrid
-// bitset adjacency index, the degeneracy renumbering (solutions are mapped
-// back to input ids automatically), the connected-component labeling used
-// by the parallel driver, and a core-decomposition bound that lets
-// provably-empty queries answer instantly. Artifacts are built lazily, at
-// most once, and are safe to consume from any number of concurrent
-// QuerySessions (api/query_session.h):
+// PreparedGraph owns a loaded BipartiteGraph plus the preprocessing
+// artifacts every query over that graph wants — the connected-component
+// labeling (and per-component subgraphs) used by the parallel driver, and
+// a core-decomposition bound that lets provably-empty queries answer
+// instantly. Queries execute on the input graph itself. Artifacts are
+// built lazily, at most once, and are safe to consume from any number of
+// concurrent QuerySessions (api/query_session.h):
 //
-//   auto prepared = PreparedGraph::Prepare(std::move(g),
-//                                          {.renumber = true});
+//   auto prepared = PreparedGraph::Prepare(std::move(g));
 //   QuerySession session(prepared);
 //   for (const EnumerateRequest& req : queries) {
 //     session.Run(req, &sink);   // artifacts and scratch reused
@@ -27,11 +25,8 @@
 #include <mutex>
 #include <string>
 
-#include "core/traversal_options.h"
-#include "graph/adjacency_index.h"
 #include "graph/bipartite_graph.h"
 #include "graph/components.h"
-#include "graph/renumber.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 
@@ -44,30 +39,8 @@ struct UpdateResult;
 struct EpochBuilder;
 }  // namespace update
 
-/// Which artifacts a PreparedGraph applies to its execution graph.
+/// How a PreparedGraph answers queries.
 struct PrepareOptions {
-  /// Attached-adjacency-index policy: kAuto attaches the hybrid bitset
-  /// index when the graph has at least kAutoIndexMinEdges edges (the same
-  /// threshold at which an engine would build a throwaway per-run index),
-  /// kForce always attaches, kOff never does. The attached index is built
-  /// once and shared by every query and session.
-  AdjacencyAccelMode adjacency_index = AdjacencyAccelMode::kAuto;
-
-  /// Row threshold forwarded to the index build
-  /// (AdjacencyIndex::kAutoThreshold = heuristic).
-  size_t adjacency_min_degree = AdjacencyIndex::kAutoThreshold;
-
-  /// Memory budget (bytes) forwarded to the index build: bounds the
-  /// row-container pool by demoting rows to the compact sorted-array
-  /// representation and, past that, dropping rows back to CSR search
-  /// (see adjacency_index.h). kNoBudget = unlimited, every row dense.
-  size_t accel_budget_bytes = AdjacencyIndex::kNoBudget;
-
-  /// Degeneracy-renumber the execution graph for cache locality (see
-  /// graph/renumber.h). Queries still see and produce input-graph ids:
-  /// every delivered solution is mapped back automatically.
-  bool renumber = false;
-
   /// Answer thresholded queries whose result set the cached core bound
   /// proves empty without running a backend. On by default for prepared
   /// service graphs; the one-shot compatibility paths (Borrow, the CLI
@@ -82,22 +55,15 @@ struct PrepareOptions {
 /// shared PreparedGraph reports at most 1 per artifact no matter how many
 /// sessions raced to request it.
 struct PrepareArtifactStats {
-  int execution_graph_builds = 0;  // renumbering and/or index attach
   int component_builds = 0;
   int component_subgraph_builds = 0;  // materialized per-component graphs
   int core_bound_builds = 0;
   double build_seconds = 0;  // total time spent inside artifact builds
 
-  // Memory footprint of the attached adjacency index (all zero when no
-  // index was attached): total container bytes plus the per-representation
-  // row counts and bytes of the roaring-style dense/sparse split, and the
-  // number of qualifying rows a memory budget forced out entirely.
+  // Bytes of prepare-time adjacency structures beyond the CSR graph.
+  // Queries test edges on the CSR arrays alone, so this is always 0; the
+  // field and its JSON key stay for readers of the stats schema.
   size_t adjacency_memory_bytes = 0;
-  size_t adjacency_dense_rows = 0;
-  size_t adjacency_sparse_rows = 0;
-  size_t adjacency_dropped_rows = 0;
-  size_t adjacency_dense_bytes = 0;
-  size_t adjacency_sparse_bytes = 0;
 
   /// Serializes every field as one JSON object (additive schema: new
   /// fields append, existing keys never change meaning).
@@ -115,9 +81,9 @@ struct UpdateLineage {
   uint64_t edges_inserted = 0;     // cumulative real inserts
   uint64_t edges_deleted = 0;      // cumulative real deletes
   uint64_t full_rebuilds = 0;      // applies past the staleness threshold
-  /// Artifacts carried across an epoch boundary by patching (spliced
-  /// CSR + reused permutation, patched index rows, union-find/dirty-BFS
-  /// component relabel, carried core bound) vs artifacts an apply
+  /// Artifacts carried across an epoch boundary by patching
+  /// (union-find/dirty-BFS component relabel, carried core bound) vs
+  /// artifacts an apply
   /// invalidated outright — they rebuild from scratch, eagerly or on
   /// first use (a full rebuild invalidates every built artifact).
   uint64_t artifacts_incremental = 0;
@@ -140,28 +106,20 @@ class PreparedGraph {
   static std::shared_ptr<const PreparedGraph> Prepare(
       BipartiteGraph g, PrepareOptions options = {});
 
-  /// Wraps a caller-owned graph without copying it and without ever
-  /// mutating it: no index is attached and no renumbering happens, so
-  /// execution matches a direct run on `g` exactly. `g` must outlive the
-  /// returned object.
+  /// Wraps a caller-owned graph without copying it, so execution matches
+  /// a direct run on `g` exactly. `g` must outlive the returned object.
   static std::shared_ptr<const PreparedGraph> Borrow(const BipartiteGraph& g);
 
   PreparedGraph(const PreparedGraph&) = delete;
   PreparedGraph& operator=(const PreparedGraph&) = delete;
 
-  /// The input graph, in input ids, exactly as handed to Prepare/Borrow.
+  /// The input graph, exactly as handed to Prepare/Borrow.
   const BipartiteGraph& graph() const { return *graph_; }
 
   const PrepareOptions& options() const { return options_; }
 
-  /// The graph queries execute on: the input graph with the prepare-time
-  /// artifacts applied (renumbered ids and/or an attached adjacency
-  /// index). Built on first call, then cached; thread-safe.
-  const BipartiteGraph& ExecutionGraph() const;
-
-  /// True iff the execution graph uses renumbered ids (solutions must be
-  /// mapped back through Renumbering()).
-  bool renumbered() const { return options_.renumber; }
+  /// The graph queries execute on: the input graph, same as graph().
+  const BipartiteGraph& ExecutionGraph() const { return *graph_; }
 
   /// True iff this wraps a caller-owned graph (Borrow). Borrowed graphs
   /// serve the one-shot compatibility shim, so the facade applies none of
@@ -169,15 +127,12 @@ class PreparedGraph {
   /// short-circuit) to them.
   bool borrowed() const { return owned_ == nullptr; }
 
-  /// The id maps of the renumbered execution graph. Requires renumbered().
-  const RenumberedGraph& Renumbering() const;
-
-  /// Connected-component labeling of the execution graph (consumed by the
+  /// Connected-component labeling of the graph (consumed by the
   /// parallel driver). Built on first call, then cached; thread-safe.
   const ComponentLabeling& Components() const;
 
   /// Materialized induced subgraphs of every connected component of the
-  /// execution graph, index-aligned with the labels of Components().
+  /// graph, index-aligned with the labels of Components().
   /// Built on first call, then cached and shared by every subsequent
   /// component-sharded query; thread-safe. Roughly doubles the graph's
   /// resident memory, so callers should bail out via the cheap labeling
@@ -205,13 +160,13 @@ class PreparedGraph {
   /// Applies an edge-update batch copy-on-write: this instance is left
   /// untouched (sessions borrowing it keep their snapshot), and on
   /// success the result carries a new immutable PreparedGraph at epoch
-  /// N+1 with the same PrepareOptions. Artifacts this epoch already built
-  /// are carried into the successor incrementally — spliced CSR rows,
-  /// the reused degeneracy permutation, patched adjacency-index rows,
-  /// union-find + dirty-component relabeling, a monotone core bound —
-  /// unless the delta exceeds options.max_delta_fraction of the edge
-  /// count, in which case the successor is rebuilt from scratch (lazy
-  /// artifacts, like a fresh Prepare). Borrowed graphs reject updates.
+  /// N+1 with the same PrepareOptions. The successor's CSR is spliced
+  /// from this one, and artifacts this epoch already built are carried
+  /// into it incrementally — union-find + dirty-component relabeling, a
+  /// monotone core bound — unless the delta exceeds
+  /// options.max_delta_fraction of the edge count, in which case the
+  /// successor is rebuilt from scratch (lazy artifacts, like a fresh
+  /// Prepare). Borrowed graphs reject updates.
   /// Thread-safe against concurrent queries; concurrent ApplyUpdates
   /// calls on the same instance are safe but produce sibling epochs —
   /// serialize updates per graph (the serving registry does) to keep a
@@ -240,20 +195,6 @@ class PreparedGraph {
       MutexLock lock(&mu);
       return stats;
     }
-
-    /// Records the memory footprint of the attached adjacency index.
-    void RecordAdjacency(const AdjacencyIndex& index) const
-        KBIPLEX_EXCLUDES(mu) {
-      const AdjacencyIndex::RepresentationStats& rep =
-          index.representation_stats();
-      MutexLock lock(&mu);
-      stats.adjacency_memory_bytes = index.MemoryBytes();
-      stats.adjacency_dense_rows = rep.dense_rows;
-      stats.adjacency_sparse_rows = rep.sparse_rows;
-      stats.adjacency_dropped_rows = rep.dropped_rows;
-      stats.adjacency_dense_bytes = rep.dense_bytes;
-      stats.adjacency_sparse_bytes = rep.sparse_bytes;
-    }
   };
 
   /// The epoch builder constructs successor instances directly (private
@@ -264,13 +205,9 @@ class PreparedGraph {
   PreparedGraph(BipartiteGraph g, PrepareOptions options);
   PreparedGraph(const BipartiteGraph* view, PrepareOptions options);
 
-  void BuildExecutionGraph() const;
-
   PrepareOptions options_;
   // Owning mode stores the graph; view mode points at the caller's.
-  // Mutable because attaching the lazily-built adjacency index is a
-  // const-from-the-outside operation on the owned graph.
-  mutable std::unique_ptr<BipartiteGraph> owned_;
+  std::unique_ptr<const BipartiteGraph> owned_;
   const BipartiteGraph* graph_ = nullptr;
 
   // Lazily-built artifacts. Invariant: each artifact member below is
@@ -279,10 +216,6 @@ class PreparedGraph {
   // read — a publication pattern the thread-safety analysis cannot
   // express with GUARDED_BY (there is no mutex) but TSan verifies
   // dynamically (session_test builds artifacts from 8 racing sessions).
-  mutable std::once_flag exec_once_;
-  mutable RenumberedGraph renumbering_;        // engaged iff options_.renumber
-  mutable const BipartiteGraph* exec_graph_ = nullptr;
-
   mutable std::once_flag components_once_;
   mutable ComponentLabeling components_;
 
@@ -298,7 +231,6 @@ class PreparedGraph {
   // successor epoch should carry incrementally — without forcing builds
   // the predecessor never performed. Same publication invariant as the
   // artifact members above.
-  mutable std::atomic<bool> exec_built_{false};
   mutable std::atomic<bool> components_built_{false};
   mutable std::atomic<bool> core_bound_built_{false};
 

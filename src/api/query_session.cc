@@ -12,30 +12,6 @@
 namespace kbiplex {
 namespace {
 
-/// Translates execution-graph ids back to input-graph ids before
-/// forwarding to the caller's sink. Stateless apart from the forwarding
-/// targets, so it inherits the inner sink's threading contract.
-class MapBackSink final : public SolutionSink {
- public:
-  MapBackSink(const RenumberedGraph* renumbering, SolutionSink* inner)
-      : renumbering_(renumbering), inner_(inner) {}
-
-  bool Accept(const Biplex& solution) override {
-    VertexSetPair mapped =
-        renumbering_->MapBack(solution.left, solution.right);
-    Biplex original{std::move(mapped.left), std::move(mapped.right)};
-    return inner_->Accept(original);
-  }
-
-  bool ThreadCompatible() const override {
-    return inner_->ThreadCompatible();
-  }
-
- private:
-  const RenumberedGraph* renumbering_;
-  SolutionSink* inner_;
-};
-
 /// True iff the cached (a,a)-core bound proves the request's result set
 /// empty: a solution with |L'| >= theta_left and |R'| >= theta_right keeps
 /// every left vertex at degree >= theta_right - k.left and every right
@@ -77,7 +53,7 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
     return out;
   }
 
-  const BipartiteGraph& exec = prepared.ExecutionGraph();
+  const BipartiteGraph& g = prepared.graph();
   EnumerateStats out;
   if (request.k.left < 1 || request.k.right < 1) {
     out = EnumerateStats::Rejected("disconnection budgets must be >= 1");
@@ -105,8 +81,8 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
     out = EnumerateStats::Rejected(
         "algorithm '" + name +
         "' requires theta_left >= 1 and theta_right >= 1");
-  } else if (info->max_side != 0 && (exec.NumLeft() > info->max_side ||
-                                     exec.NumRight() > info->max_side)) {
+  } else if (info->max_side != 0 && (g.NumLeft() > info->max_side ||
+                                     g.NumRight() > info->max_side)) {
     out = EnumerateStats::Rejected(
         "algorithm '" + name + "' supports at most " +
         std::to_string(info->max_side) + " vertices per side");
@@ -127,25 +103,17 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
     out.completed = true;
     out.seconds = timer.ElapsedSeconds();
   } else {
-    // Renumbered execution graphs deliver execution ids; map them back to
-    // input ids right before the caller's sink (threshold filtering and
-    // result caps act on sizes, which renumbering preserves).
-    MapBackSink mapper(prepared.renumbered() ? &prepared.Renumbering()
-                                             : nullptr,
-                       sink);
-    SolutionSink* delivery =
-        prepared.renumbered() ? static_cast<SolutionSink*>(&mapper) : sink;
     std::unique_ptr<AlgorithmBackend> backend = registry.Create(name);
     std::optional<EnumerateStats> parallel;
     if (request.threads != 1) {
       parallel =
-          TryRunParallel(prepared, request, registry, *backend, delivery);
+          TryRunParallel(prepared, request, registry, *backend, sink);
     }
     out = parallel.has_value()
               ? std::move(*parallel)
               : backend->Run(
                     QueryContext{.prepared = &prepared, .scratch = scratch},
-                    request, delivery);
+                    request, sink);
     if (!out.ok()) out.completed = false;
     if (!out.completed && Cancelled(request.cancellation)) {
       out.cancelled = true;

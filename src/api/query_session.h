@@ -1,25 +1,19 @@
 // The "execute" half of the prepare/execute API: a QuerySession runs many
 // EnumerateRequests against one PreparedGraph, reusing the prepared
-// artifacts (attached adjacency index, renumbering, component labeling,
-// core bounds) and carrying engine scratch — the recursion-frame arena and
-// the EnumAlmostSat workspace — across queries so steady-state query
-// execution allocates almost nothing.
+// artifacts (component labeling, core bounds) and carrying engine scratch
+// — the recursion-frame arena and the EnumAlmostSat workspace — across
+// queries so steady-state query execution allocates almost nothing.
 //
 // A session is NOT thread-safe: it owns mutable scratch, so use one
 // session per serving thread. Any number of sessions may share one
 // PreparedGraph concurrently — the prepared artifacts are immutable once
 // built, and builds are internally synchronized.
 //
-//   auto prepared = PreparedGraph::Prepare(LoadGraph(...),
-//                                          {.renumber = true});
+//   auto prepared = PreparedGraph::Prepare(LoadGraph(...));
 //   QuerySession session(prepared);
 //   for (const EnumerateRequest& req : queries) {
 //     EnumerateStats stats = session.Run(req, &sink);
 //   }
-//
-// Solutions are always delivered in the input graph's ids: when the
-// prepared graph is renumbered, the session maps every solution back
-// automatically (the facade-level renumbering the ROADMAP called for).
 #ifndef KBIPLEX_API_QUERY_SESSION_H_
 #define KBIPLEX_API_QUERY_SESSION_H_
 
@@ -53,9 +47,8 @@ class QuerySession {
   QuerySession(const QuerySession&) = delete;
   QuerySession& operator=(const QuerySession&) = delete;
 
-  /// Runs one request, delivering solutions (in input-graph ids) to
-  /// `sink`. Rejected requests return stats with a non-empty `error` and
-  /// no solutions delivered.
+  /// Runs one request, delivering solutions to `sink`. Rejected requests
+  /// return stats with a non-empty `error` and no solutions delivered.
   EnumerateStats Run(const EnumerateRequest& request, SolutionSink* sink);
 
   /// Convenience: runs with a callback sink.
@@ -92,8 +85,8 @@ namespace internal {
 /// The one execution path behind QuerySession::Run and the Enumerate
 /// compatibility shim: validates `request` against the backend's
 /// capabilities and the sink's threading contract, applies the cached
-/// core-bound short-circuit, maps renumbered solutions back to input ids,
-/// and dispatches to the parallel driver or a sequential backend.
+/// core-bound short-circuit, and dispatches to the parallel driver or a
+/// sequential backend.
 /// `scratch` may be null (per-run scratch); `short_circuited` (optional)
 /// is set to whether the core bound answered the query without a backend.
 EnumerateStats RunOnPrepared(const PreparedGraph& prepared,

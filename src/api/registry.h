@@ -27,11 +27,8 @@ class PreparedGraph;       // api/prepared_graph.h
 struct TraversalScratch;   // core/traversal_scratch.h
 
 /// Everything a backend executes against: the prepared graph whose
-/// ExecutionGraph() it must enumerate (with any cached artifacts already
-/// applied — attached adjacency index, renumbered ids) plus optional
-/// session scratch reused across queries. Solutions are delivered in
-/// execution-graph ids; the facade layer maps them back to input ids when
-/// the prepared graph is renumbered.
+/// graph() it must enumerate plus optional session scratch reused across
+/// queries.
 struct QueryContext {
   const PreparedGraph* prepared = nullptr;  // never null for backend runs
   /// Cross-query scratch of the owning session, or null (per-run scratch).
@@ -60,7 +57,7 @@ class AlgorithmBackend {
  public:
   virtual ~AlgorithmBackend() = default;
 
-  /// Runs the enumeration against ctx.prepared's execution graph,
+  /// Runs the enumeration against ctx.prepared's graph,
   /// delivering solutions to `sink`. Shared request validation (asymmetric
   /// budgets, thresholds, graph size) has already happened; implementations
   /// still reject unknown backend_options keys.

@@ -27,10 +27,6 @@ class AlmostSatEnumerator {
         stats_(stats),
         a_(h.SideSet(v_side)),
         b_(h.SideSet(Opposite(v_side))),
-        // Resolve the acceleration source once: an explicitly supplied
-        // index wins, else the graph's attached one (may be null).
-        accel_(opts.adjacency != nullptr ? opts.adjacency
-                                         : g.adjacency_index()),
         ws_(opts.workspace != nullptr ? *opts.workspace : local_ws_) {}
 
   /// Runs the enumeration; false iff the callback stopped it.
@@ -42,11 +38,10 @@ class AlmostSatEnumerator {
   }
 
  private:
-  /// Edge test between A-side vertex `a` and B-side vertex `u`, through
-  /// the bitset fast path when a row is available.
+  /// Edge test between A-side vertex `a` and B-side vertex `u`.
   bool Adjacent(VertexId a, VertexId u) {
     ++adj_tests_;
-    return AcceleratedIsAdjacent(accel_, g_, v_side_, a, u);
+    return g_.IsAdjacent(v_side_, a, u);
   }
 
   bool RunSubsets() {
@@ -82,9 +77,7 @@ class AlmostSatEnumerator {
     ws_.v_adj_b.resize(b_.size());
     for (size_t i = 0; i < b_.size(); ++i) {
       const VertexId u = b_[i];
-      ws_.disc_a_of_b[i] =
-          a_.size() -
-          AcceleratedConnCount(accel_, g_, Opposite(v_side_), u, a_);
+      ws_.disc_a_of_b[i] = g_.DiscCount(Opposite(v_side_), u, a_);
       assert(ws_.disc_a_of_b[i] <= kb_);  // (A, B) is a k-biplex
       ws_.v_adj_b[i] = Adjacent(v_, u);
       if (ws_.v_adj_b[i]) {
@@ -97,10 +90,7 @@ class AlmostSatEnumerator {
     }
     ws_.disc_keep_of_a.resize(a_.size());
     for (size_t j = 0; j < a_.size(); ++j) {
-      ws_.disc_keep_of_a[j] =
-          ws_.b_keep.size() -
-          AcceleratedConnCount(accel_, g_, v_side_, a_[j],
-                               ws_.b_keep);
+      ws_.disc_keep_of_a[j] = g_.DiscCount(v_side_, a_[j], ws_.b_keep);
     }
     if (opts_.excluded_anchored != nullptr &&
         opts_.excluded_anchored->size() != 0) {
@@ -140,8 +130,7 @@ class AlmostSatEnumerator {
     ws_.a_remo.clear();
     if (!ws_.bpp2.empty()) {
       for (size_t j = 0; j < a_.size(); ++j) {
-        if (AcceleratedConnCount(accel_, g_, v_side_, a_[j],
-                                 ws_.bpp2) < ws_.bpp2.size()) {
+        if (g_.ConnCount(v_side_, a_[j], ws_.bpp2) < ws_.bpp2.size()) {
           ws_.a_remo.push_back(j);
         }
       }
@@ -283,7 +272,6 @@ class AlmostSatEnumerator {
   const std::vector<VertexId>& a_;
   const std::vector<VertexId>& b_;
 
-  const AdjacencyIndex* accel_;  // resolved acceleration source; may be null
   EnumAlmostSatWorkspace local_ws_;  // fallback when no workspace is given
   EnumAlmostSatWorkspace& ws_;
 

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/biplex.h"
-#include "graph/adjacency_index.h"
 #include "graph/bipartite_graph.h"
 #include "util/dynamic_bitset.h"
 #include "util/timer.h"
@@ -75,10 +74,6 @@ struct EnumAlmostSatOptions {
   /// to avoid enumerating local solutions it would discard anyway —
   /// removal sets are forced to cover every marked member. Not owned.
   const DynamicBitset* excluded_anchored = nullptr;
-  /// Optional bitset-adjacency acceleration for the O(1) edge-test fast
-  /// path; adjacency falls back to the graph's CSR search (or its own
-  /// attached index) when null or rowless. Not owned.
-  const AdjacencyIndex* adjacency = nullptr;
   /// Optional caller-owned scratch buffers reused across invocations;
   /// when null each call allocates its own. Not owned.
   EnumAlmostSatWorkspace* workspace = nullptr;

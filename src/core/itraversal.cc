@@ -7,7 +7,6 @@
 
 #include "baselines/inflation_enum.h"
 #include "core/solution_store.h"
-#include "graph/adjacency_index.h"
 #include "util/arena_pool.h"
 #include "util/dynamic_bitset.h"
 #include "util/timer.h"
@@ -20,7 +19,6 @@ class TraversalEngine::Impl {
       : g_(g), opts_(opts), extender_(g, opts.k) {
     assert(opts.k.left >= 1 && opts.k.right >= 1);
     gen_mode_ = ComputeGenMode();
-    InitAccel();
     if (opts_.scratch != nullptr) {
       // Adopt (or install) the session's pooled frame arena and shared
       // EnumAlmostSat workspace so consecutive engines of one session
@@ -34,29 +32,6 @@ class TraversalEngine::Impl {
       }
       frame_pool_ = &slot->pool;
       local_ws_ = &opts_.scratch->workspace;
-    }
-  }
-
-  void InitAccel() {
-    switch (opts_.adjacency_accel) {
-      case AdjacencyAccelMode::kOff:
-        break;
-      case AdjacencyAccelMode::kAuto:
-        accel_ = g_.adjacency_index();
-        if (accel_ == nullptr && g_.NumEdges() >= kAutoIndexMinEdges) {
-          owned_accel_ = std::make_unique<AdjacencyIndex>(
-              g_, AdjacencyIndex::kAutoThreshold, opts_.accel_budget_bytes);
-          accel_ = owned_accel_.get();
-        }
-        break;
-      case AdjacencyAccelMode::kForce:
-        accel_ = g_.adjacency_index();
-        if (accel_ == nullptr) {
-          owned_accel_ = std::make_unique<AdjacencyIndex>(
-              g_, AdjacencyIndex::kAutoThreshold, opts_.accel_budget_bytes);
-          accel_ = owned_accel_.get();
-        }
-        break;
     }
   }
 
@@ -96,7 +71,6 @@ class TraversalEngine::Impl {
   /// farther than two hops from H — changes nothing), and right-shrinking
   /// must hold so the pruned subtrees cannot contain surviving solutions.
   bool TwoHopApplies() const {
-    if (opts_.candidate_gen == CandidateGenMode::kScan) return false;
     if (!opts_.left_anchored || !opts_.right_shrinking ||
         !opts_.prune_small) {
       return false;
@@ -119,7 +93,6 @@ class TraversalEngine::Impl {
   /// completeness argument for zero-connection candidates, which only
   /// covers the anchored gate.
   GenMode ComputeGenMode() const {
-    if (opts_.candidate_gen == CandidateGenMode::kScan) return GenMode::kScan;
     if (TwoHopApplies()) return GenMode::kAnchored;
     // The exclusion strategy filters candidates against exclusion sets
     // that grow while a frame is active; the anchored generator handles
@@ -563,8 +536,7 @@ class TraversalEngine::Impl {
       const std::vector<uint32_t>& cc = conn_[SideIndex(side)];
       const size_t conn =
           !cc.empty() ? cc[v]
-                      : AcceleratedConnCount(accel_, g_, side, v,
-                                             f->h.SideSet(Opposite(side)));
+                      : g_.ConnCount(side, v, f->h.SideSet(Opposite(side)));
       // v itself tolerates at most k(side) disconnections, bounding the
       // other side of any solution through this almost-satisfying graph.
       if (conn + static_cast<size_t>(opts_.k.ForSide(side)) < theta_other) {
@@ -628,7 +600,6 @@ class TraversalEngine::Impl {
     if (opts_.local_impl == LocalEnumImpl::kDirect) {
       EnumAlmostSatOptions lopts = opts_.local;
       lopts.deadline = deadline_;
-      lopts.adjacency = accel_;
       lopts.workspace = local_ws_;
       if (opts_.exclusion) {
         lopts.excluded_anchored = &f->excl[SideIndex(side)];
@@ -689,11 +660,9 @@ class TraversalEngine::Impl {
   const Deadline* deadline_ = nullptr;
   bool stop_ = false;
 
-  // Acceleration state: the hybrid adjacency index (attached, engine-
-  // owned, or null), the frame arena, the shared EnumAlmostSat workspace,
-  // and the incremental |Γ(w) ∩ B| counters of the 2-hop generator.
-  const AdjacencyIndex* accel_ = nullptr;
-  std::unique_ptr<AdjacencyIndex> owned_accel_;
+  // Acceleration state: the frame arena, the shared EnumAlmostSat
+  // workspace, and the incremental |Γ(w) ∩ B| counters of the 2-hop
+  // generator.
   // The frame arena and EnumAlmostSat workspace point at the session's
   // TraversalScratch when one is configured, else at the engine-owned
   // fallbacks below.

@@ -18,9 +18,6 @@ LargeMbpStats LargeMbpEngine::Run(const SolutionCallback& cb) {
   topts.max_results = opts_.max_results;
   topts.time_budget_seconds = opts_.time_budget_seconds;
   topts.cancel = opts_.cancel;
-  topts.candidate_gen = opts_.candidate_gen;
-  topts.adjacency_accel = opts_.adjacency_accel;
-  topts.accel_budget_bytes = opts_.accel_budget_bytes;
   topts.scratch = opts_.scratch;
 
   if (!opts_.core_reduction) {

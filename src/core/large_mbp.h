@@ -27,15 +27,6 @@ struct LargeMbpOptions {
   /// Optional cooperative cancellation, forwarded to the traversal engine;
   /// not owned, may be null.
   const CancellationToken* cancel = nullptr;
-  /// Hot-path acceleration knobs, forwarded to the traversal engine (see
-  /// traversal_options.h). Large-MBP runs satisfy the 2-hop equivalence
-  /// gate whenever theta exceeds the budget on the opposite side, so
-  /// kAuto typically engages the candidate generator here.
-  CandidateGenMode candidate_gen = CandidateGenMode::kAuto;
-  AdjacencyAccelMode adjacency_accel = AdjacencyAccelMode::kAuto;
-  /// Memory budget (bytes) of an engine-local adjacency index, forwarded
-  /// to the traversal engine; 0 = unlimited (see traversal_options.h).
-  size_t accel_budget_bytes = 0;
   /// Optional cross-run scratch forwarded to the traversal engine; not
   /// owned (see core/traversal_scratch.h).
   TraversalScratch* scratch = nullptr;

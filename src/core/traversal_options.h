@@ -23,40 +23,6 @@ enum class LocalEnumImpl : uint8_t {
   kInflation,  // graph inflation + maximal (k+1)-plex enumeration
 };
 
-/// Step-1 candidate generation strategy.
-enum class CandidateGenMode : uint8_t {
-  /// Engage the incrementally maintained 2-hop candidate generator
-  /// whenever it is provably equivalent to the full scan (left-anchored +
-  /// right-shrinking + prune_small with theta_other > k: the Section 5
-  /// almost-satisfying-graph prune then discards every candidate the
-  /// generator skips, and right-shrinking makes the subtree prune sound).
-  kAuto,
-  /// Always use the seed behavior: scan every vertex of the side.
-  kScan,
-  /// Request the 2-hop generator; falls back to the scan for
-  /// configurations where it is not equivalence-preserving.
-  kTwoHop,
-};
-
-/// Hybrid bitset-adjacency acceleration of the engine's hot paths.
-enum class AdjacencyAccelMode : uint8_t {
-  /// Use the graph's attached index when present; otherwise build an
-  /// engine-local one for graphs with >= kAutoIndexMinEdges edges.
-  kAuto,
-  /// Do not build an engine-local index. Note this is not a total kill
-  /// switch: an index already attached to the graph
-  /// (BipartiteGraph::BuildAdjacencyIndex) still serves the graph-level
-  /// primitives (IsAdjacent, ConnCount) that every engine shares. The
-  /// true seed baseline is a graph without an attached index plus kOff.
-  kOff,
-  /// Use the attached index or build an engine-local one unconditionally.
-  kForce,
-};
-
-/// Edge count from which AdjacencyAccelMode::kAuto builds an engine-local
-/// index when the graph has none attached.
-inline constexpr size_t kAutoIndexMinEdges = 4096;
-
 /// Options of one traversal run.
 struct TraversalOptions {
   /// Disconnection budgets; both sides must be >= 1. Uniform budgets give
@@ -117,20 +83,6 @@ struct TraversalOptions {
   /// wall-clock deadline; a cancelled run stops with completed = false.
   /// Not owned; may be null.
   const CancellationToken* cancel = nullptr;
-
-  /// Step-1 candidate generation strategy (see CandidateGenMode). Every
-  /// mode yields the exact same solution set; only the work differs.
-  CandidateGenMode candidate_gen = CandidateGenMode::kAuto;
-
-  /// Bitset-adjacency acceleration (see AdjacencyAccelMode). Exact-result
-  /// preserving in every mode.
-  AdjacencyAccelMode adjacency_accel = AdjacencyAccelMode::kAuto;
-
-  /// Memory budget (bytes) of an engine-local adjacency index: rows are
-  /// demoted to compact sorted arrays, then dropped back to CSR search,
-  /// until the index fits (see graph/adjacency_index.h). 0 = unlimited
-  /// (every row dense). Exact-result preserving for any value.
-  size_t accel_budget_bytes = 0;
 
   /// Optional cross-run scratch (recursion-frame arena + EnumAlmostSat
   /// workspace) reused by consecutive engines of one session; when null

@@ -149,25 +149,11 @@ BipartiteGraph BipartiteGraph::Transposed() const {
   g.left_neighbors_ = right_neighbors_;
   g.right_offsets_ = left_offsets_;
   g.right_neighbors_ = left_neighbors_;
-  // Rows are laid out per side, so the index does not survive the swap.
-  if (accel_ != nullptr) {
-    g.BuildAdjacencyIndex(accel_->min_degree(),
-                          accel_->memory_budget_bytes());
-  }
   return g;
-}
-
-void BipartiteGraph::BuildAdjacencyIndex(size_t min_degree,
-                                         size_t memory_budget_bytes) {
-  accel_ = std::make_shared<const AdjacencyIndex>(*this, min_degree,
-                                                  memory_budget_bytes);
 }
 
 size_t BipartiteGraph::ConnCount(Side side, VertexId v,
                                  const std::vector<VertexId>& subset) const {
-  if (accel_ != nullptr && accel_->HasRow(side, v)) {
-    return accel_->RowConnCount(side, v, subset);
-  }
   auto nb = Neighbors(side, v);
   // Merge-count; switch to binary search when the subset is much smaller.
   if (subset.size() * 8 < nb.size()) {
@@ -214,13 +200,6 @@ InducedSubgraph Induce(const BipartiteGraph& g,
   }
   out.graph =
       BipartiteGraph::FromEdges(left.size(), right.size(), std::move(edges));
-  // Keep acceleration engaged across reductions ((θ−k)-core, component
-  // sharding): the induced graph inherits an index when the parent had one.
-  if (g.adjacency_index() != nullptr) {
-    out.graph.BuildAdjacencyIndex(
-        g.adjacency_index()->min_degree(),
-        g.adjacency_index()->memory_budget_bytes());
-  }
   return out;
 }
 

@@ -6,12 +6,10 @@
 #define KBIPLEX_GRAPH_BIPARTITE_GRAPH_H_
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "graph/adjacency_index.h"
 #include "util/common.h"
 
 namespace kbiplex {
@@ -73,40 +71,10 @@ class BipartiteGraph {
   bool HasEdge(VertexId l, VertexId r) const;
 
   /// Adjacency test between `v` on side `side` and `u` on the opposite
-  /// side. This is the single fast path every enumeration kernel goes
-  /// through: when an adjacency index is attached (BuildAdjacencyIndex)
-  /// and either endpoint has a bitset row the test is O(1); otherwise it
-  /// falls back to a binary search over the shorter adjacency list,
-  /// exactly like HasEdge.
+  /// side: HasEdge with the endpoints put in (left, right) order.
   bool IsAdjacent(Side side, VertexId v, VertexId u) const {
-    return AcceleratedIsAdjacent(accel_.get(), *this, side, v, u);
+    return side == Side::kLeft ? HasEdge(v, u) : HasEdge(u, v);
   }
-
-  /// Builds and attaches the hybrid adjacency acceleration structure
-  /// (per-row dense/sparse containers for vertices with degree >=
-  /// `min_degree`; see adjacency_index.h). `memory_budget_bytes` bounds
-  /// the container pool (kNoBudget = unlimited, every row dense).
-  /// Idempotent for fixed parameters; rebuilding with different ones
-  /// replaces the index. The index is shared by copies made afterwards
-  /// and is read-only, so attaching it before fanning a graph out to
-  /// worker threads is safe.
-  void BuildAdjacencyIndex(
-      size_t min_degree = AdjacencyIndex::kAutoThreshold,
-      size_t memory_budget_bytes = AdjacencyIndex::kNoBudget);
-
-  /// Attaches an externally built acceleration structure. The incremental
-  /// update path (src/update/) patches the predecessor epoch's index
-  /// against the new adjacency instead of rebuilding it row by row; the
-  /// index handed in here must describe exactly this graph's adjacency.
-  void AttachAdjacencyIndex(std::shared_ptr<const AdjacencyIndex> index) {
-    accel_ = std::move(index);
-  }
-
-  /// Detaches the acceleration structure (tests fall back to CSR search).
-  void DropAdjacencyIndex() { accel_.reset(); }
-
-  /// The attached acceleration structure, or null.
-  const AdjacencyIndex* adjacency_index() const { return accel_.get(); }
 
   /// Edge density as defined by the paper: |E| / (|L| + |R|).
   double EdgeDensity() const {
@@ -122,10 +90,7 @@ class BipartiteGraph {
   /// FromEdges re-sort. Contract (update::UpdateBatch::Normalize
   /// establishes it): both lists are sorted by (left, right) and
   /// duplicate-free, every insert edge is absent from the graph, every
-  /// erase edge is present, and the two lists are disjoint. No adjacency
-  /// index carries over — the result reflects different adjacency, so
-  /// callers attach a fresh or patched index themselves (see
-  /// AttachAdjacencyIndex and the AdjacencyIndex patch constructor).
+  /// erase edge is present, and the two lists are disjoint.
   BipartiteGraph WithEdgeDelta(const std::vector<Edge>& insert,
                                const std::vector<Edge>& erase) const;
 
@@ -150,21 +115,7 @@ class BipartiteGraph {
   std::vector<VertexId> left_neighbors_;
   std::vector<size_t> right_offsets_;
   std::vector<VertexId> right_neighbors_;
-  // Optional hybrid acceleration structure; shared (read-only) between
-  // copies so that copying an indexed graph stays cheap.
-  std::shared_ptr<const AdjacencyIndex> accel_;
 };
-
-inline bool AcceleratedIsAdjacent(const AdjacencyIndex* index,
-                                  const BipartiteGraph& g, Side side,
-                                  VertexId v, VertexId u) {
-  if (index != nullptr) {
-    if (index->HasRow(side, v)) return index->TestRow(side, v, u);
-    const Side other = Opposite(side);
-    if (index->HasRow(other, u)) return index->TestRow(other, u, v);
-  }
-  return side == Side::kLeft ? g.HasEdge(v, u) : g.HasEdge(u, v);
-}
 
 /// An induced bipartite subgraph materialized with compacted ids, plus the
 /// maps from compact ids back to the parent graph's ids.

@@ -323,13 +323,8 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
     return;
   }
   if (cmd.op == "load") {
-    PrepareOptions prepare = options_.prepare;
-    if (cmd.accel) prepare.adjacency_index = AdjacencyAccelMode::kForce;
-    if (cmd.renumber) prepare.renumber = true;
-    if (cmd.accel_budget != 0) {
-      prepare.accel_budget_bytes = static_cast<size_t>(cmd.accel_budget);
-    }
-    const std::string load_err = registry_.LoadFile(cmd.graph, cmd.path, prepare);
+    const std::string load_err =
+        registry_.LoadFile(cmd.graph, cmd.path, options_.prepare);
     if (!load_err.empty()) {
       conn->WriteLine(ErrorLine(cmd.id, kBadRequest, load_err));
       return;
@@ -560,8 +555,7 @@ std::string Server::ServerStatsBody() const {
        << ",\"rejected_overload\":" << counters.rejected_overload
        << ",\"rejected_draining\":" << counters.rejected_closed
        << ",\"requests\":" << aggregator_.ToJson();
-  // Per-graph artifact/memory block (additive schema): the prepare
-  // counters plus the adjacency-index representation footprint.
+  // Per-graph block: epoch, update lineage and prepare counters.
   body << ",\"graphs\":[";
   bool first = true;
   for (const auto& [name, entry] : registry_.List()) {

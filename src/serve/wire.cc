@@ -37,24 +37,12 @@ std::string SerializeId(const json::JsonValue* v) {
   return "null";  // containers make no sense as an id; normalize away
 }
 
-std::string ParseLoadOptions(const json::JsonValue& v, WireCommand* cmd) {
+/// `load` takes no options; an "options" object is still parsed so that
+/// every key in it is rejected by name.
+std::string ParseLoadOptions(const json::JsonValue& v) {
   if (!v.is_object()) return "'options' must be an object";
-  for (const auto& [key, value] : v.AsObject()) {
-    if (key == "accel") {
-      if (!value.is_bool()) return "load option 'accel' must be a bool";
-      cmd->accel = value.AsBool();
-    } else if (key == "renumber") {
-      if (!value.is_bool()) return "load option 'renumber' must be a bool";
-      cmd->renumber = value.AsBool();
-    } else if (key == "accel_budget") {
-      if (!value.is_number() || value.AsNumber() < 0 ||
-          value.AsNumber() != std::floor(value.AsNumber())) {
-        return "load option 'accel_budget' must be a non-negative integer";
-      }
-      cmd->accel_budget = static_cast<uint64_t>(value.AsNumber());
-    } else {
-      return "unknown load option '" + key + "'";
-    }
+  if (!v.AsObject().empty()) {
+    return "unknown load option '" + v.AsObject().front().first + "'";
   }
   return "";
 }
@@ -172,7 +160,7 @@ std::string ParseCommand(const std::string& line, WireCommand* cmd) {
         continue;
       }
       if (key == "options") {
-        if (std::string err = ParseLoadOptions(value, cmd); !err.empty()) {
+        if (std::string err = ParseLoadOptions(value); !err.empty()) {
           return err;
         }
         continue;

@@ -6,8 +6,7 @@
 // Command lines:
 //   {"op":"query","id":ID,"graph":NAME,"request":{...},
 //    "deadline_ms":N,"emit":"solutions"|"count","sort":BOOL}
-//   {"op":"load","id":ID,"name":NAME,"path":PATH,
-//    "options":{"accel":BOOL,"renumber":BOOL,"accel_budget":BYTES}}
+//   {"op":"load","id":ID,"name":NAME,"path":PATH}
 //   {"op":"evict","id":ID,"name":NAME}
 //   {"op":"update","id":ID,"name":NAME,"insert":[[L,R],...],
 //    "delete":[[L,R],...],
@@ -51,10 +50,6 @@ struct WireCommand {
                         // when absent) — echoed on every response line
   std::string graph;    // query: target graph; load/evict: graph name
   std::string path;     // load: edge-list path
-  bool accel = false;     // load option: attach the adjacency index
-  bool renumber = false;  // load option: degeneracy-renumber
-  uint64_t accel_budget = 0;  // load option: index memory budget in bytes
-                              // (0 = unlimited; see adjacency_index.h)
   EnumerateRequest request;  // query: the parsed request
   uint64_t deadline_ms = 0;  // query: 0 = no deadline
   bool count_only = false;   // query: "emit":"count" suppresses solutions

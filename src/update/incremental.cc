@@ -11,19 +11,6 @@ namespace {
 
 using Edge = BipartiteGraph::Edge;
 
-/// Sorted, duplicate-free endpoint ids of one side of a delta.
-std::vector<VertexId> TouchedVertices(const std::vector<Edge>& insert,
-                                      const std::vector<Edge>& erase,
-                                      bool left_side) {
-  std::vector<VertexId> out;
-  out.reserve(insert.size() + erase.size());
-  for (const Edge& e : insert) out.push_back(left_side ? e.first : e.second);
-  for (const Edge& e : erase) out.push_back(left_side ? e.first : e.second);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 /// Largest degree on either side — a trivially sound upper bound on the
 /// degeneracy, used to clamp the carried core bound after inserts.
 size_t MaxDegree(const BipartiteGraph& g) {
@@ -165,7 +152,6 @@ struct EpochBuilder {
     std::shared_ptr<PreparedGraph> next(new PreparedGraph(
         old.graph().WithEdgeDelta(delta.insert, delta.erase), old.options_));
 
-    const bool old_exec = old.exec_built_.load(std::memory_order_acquire);
     const bool old_components =
         old.components_built_.load(std::memory_order_acquire);
     const bool old_core =
@@ -176,37 +162,15 @@ struct EpochBuilder {
       // built is invalidated and rebuilds from scratch (lazily, exactly
       // like a fresh Prepare).
       lineage.full_rebuilds += 1;
-      lineage.artifacts_rebuilt += (old_exec ? 1 : 0) +
-                                   (old_components ? 1 : 0) +
+      lineage.artifacts_rebuilt += (old_components ? 1 : 0) +
                                    (old_core ? 1 : 0);
       out.rebuilt = true;
     } else {
-      // The delta in execution-graph ids: identical to the input-space
-      // delta unless the execution graph is renumbered.
-      std::vector<Edge> exec_ins = delta.insert;
-      std::vector<Edge> exec_era = delta.erase;
-      if (old_exec && old.options_.renumber) {
-        const RenumberedGraph& ren = old.renumbering_;
-        for (Edge& e : exec_ins) {
-          e = {ren.old_to_new_left[e.first], ren.old_to_new_right[e.second]};
-        }
-        for (Edge& e : exec_era) {
-          e = {ren.old_to_new_left[e.first], ren.old_to_new_right[e.second]};
-        }
-        std::sort(exec_ins.begin(), exec_ins.end());
-        std::sort(exec_era.begin(), exec_era.end());
-      }
-
-      if (old_exec) {
-        PatchExecutionGraph(old, *next, exec_ins, exec_era);
-        lineage.artifacts_incremental += 1;
-      }
       if (old_components) {
         std::call_once(next->components_once_, [&] {
-          const BipartiteGraph& g = next->ExecutionGraph();
           WallTimer t;
-          next->components_ =
-              IncrementalRelabel(g, old.components_, exec_ins, exec_era);
+          next->components_ = IncrementalRelabel(next->graph(), old.components_,
+                                                 delta.insert, delta.erase);
           next->counters_.Count(&PrepareArtifactStats::component_builds,
                                 t.ElapsedSeconds());
           next->components_built_.store(true, std::memory_order_release);
@@ -222,7 +186,7 @@ struct EpochBuilder {
         std::call_once(next->core_bound_once_, [&] {
           size_t bound = old.max_uniform_core_ + delta.insert.size();
           if (!delta.insert.empty()) {
-            bound = std::min(bound, MaxDegree(next->ExecutionGraph()));
+            bound = std::min(bound, MaxDegree(next->graph()));
           }
           next->max_uniform_core_ = bound;
           next->core_bound_built_.store(true, std::memory_order_release);
@@ -236,62 +200,6 @@ struct EpochBuilder {
     next->lineage_ = lineage;
     out.prepared = std::move(next);
     return out;
-  }
-
- private:
-  /// Pre-populates the successor's execution graph: the degeneracy
-  /// permutation is reused (vertex sets are fixed across updates) with
-  /// the renumbered CSR spliced in place, and the adjacency index — when
-  /// the policy attaches one — is patched row-wise from the
-  /// predecessor's. `exec_ins` / `exec_era` are the delta in execution
-  /// ids, sorted by (left, right).
-  static void PatchExecutionGraph(const PreparedGraph& old, PreparedGraph& next,
-                                  const std::vector<Edge>& exec_ins,
-                                  const std::vector<Edge>& exec_era) {
-    std::call_once(next.exec_once_, [&] {
-      WallTimer t;
-      BipartiteGraph* target = next.owned_.get();
-      if (next.options_.renumber) {
-        const RenumberedGraph& ren = old.renumbering_;
-        next.renumbering_.left_to_old = ren.left_to_old;
-        next.renumbering_.right_to_old = ren.right_to_old;
-        next.renumbering_.old_to_new_left = ren.old_to_new_left;
-        next.renumbering_.old_to_new_right = ren.old_to_new_right;
-        next.renumbering_.graph = ren.graph.WithEdgeDelta(exec_ins, exec_era);
-        target = &next.renumbering_.graph;
-      }
-      // Re-evaluate the attach policy against the new edge count (kAuto
-      // can cross its threshold in either direction across an update).
-      bool attach = false;
-      switch (next.options_.adjacency_index) {
-        case AdjacencyAccelMode::kOff:
-          break;
-        case AdjacencyAccelMode::kAuto:
-          attach = next.graph_->NumEdges() >= kAutoIndexMinEdges;
-          break;
-        case AdjacencyAccelMode::kForce:
-          attach = true;
-          break;
-      }
-      if (attach && target != nullptr) {
-        const AdjacencyIndex* prev_index =
-            old.exec_graph_->adjacency_index();
-        if (prev_index != nullptr) {
-          target->AttachAdjacencyIndex(std::make_shared<const AdjacencyIndex>(
-              *target, *prev_index,
-              TouchedVertices(exec_ins, exec_era, /*left_side=*/true),
-              TouchedVertices(exec_ins, exec_era, /*left_side=*/false)));
-        } else {
-          target->BuildAdjacencyIndex(next.options_.adjacency_min_degree,
-                                      next.options_.accel_budget_bytes);
-        }
-        next.counters_.RecordAdjacency(*target->adjacency_index());
-      }
-      next.exec_graph_ = target != nullptr ? target : next.graph_;
-      next.counters_.Count(&PrepareArtifactStats::execution_graph_builds,
-                           t.ElapsedSeconds());
-      next.exec_built_.store(true, std::memory_order_release);
-    });
   }
 };
 

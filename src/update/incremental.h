@@ -5,13 +5,7 @@
 // Keppeler and Schweikardt's "Answering FO+MOD queries under updates"
 // (re-derive only what the delta touched):
 //
-//   - base and renumbered CSR: per-row splice (BipartiteGraph::
-//     WithEdgeDelta); the degeneracy permutation itself is reused —
-//     vertex sets never change across updates, so the maps stay valid and
-//     only their *quality* drifts, which the staleness threshold bounds;
-//   - adjacency index: the deterministic budget planner re-runs over the
-//     new degrees, and every row the delta did not touch is copied
-//     byte-for-byte from the previous epoch's index;
+//   - CSR: per-row splice (BipartiteGraph::WithEdgeDelta);
 //   - component labeling: union-find merge over the old labels for
 //     inserts; deletes mark the touched merged components dirty and only
 //     the dirty region is re-BFSed (the BFS provably cannot escape it);
@@ -46,7 +40,7 @@ struct UpdateOptions {
   /// of the predecessor's edge count, artifact patching is skipped and
   /// the new epoch rebuilds from scratch (counted in
   /// UpdateLineage::full_rebuilds). The default tolerates a 10% drift —
-  /// past that, patched permutations and stale bounds stop paying for
+  /// past that, incremental relabels and stale bounds stop paying for
   /// themselves.
   double max_delta_fraction = 0.10;
 

@@ -64,20 +64,9 @@ void ScalarAndNot(uint64_t* dst, const uint64_t* src, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] &= ~src[i];
 }
 
-size_t ScalarRowConnCount(const uint64_t* row, const uint32_t* subset,
-                          size_t n) {
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t u = subset[i];
-    count += (row[u >> 6] >> (u & 63)) & 1ULL;
-  }
-  return count;
-}
-
 constexpr Kernels kScalar = {
     "scalar",      ScalarIntersectCount, ScalarPopcount, ScalarIsSubset,
     ScalarIntersects, ScalarOr,          ScalarAnd,      ScalarAndNot,
-    ScalarRowConnCount,
 };
 
 // ------------------------------------------------------------- AVX2 ------
@@ -212,38 +201,9 @@ __attribute__((target("avx2"))) void Avx2AndNot(uint64_t* dst,
   for (; i < n; ++i) dst[i] &= ~src[i];
 }
 
-__attribute__((target("avx2"))) size_t Avx2RowConnCount(
-    const uint64_t* row, const uint32_t* subset, size_t n) {
-  // Four probes per iteration: gather the four row words the ids land in
-  // (vpgatherqq on 32-bit indices), shift each id's bit down with a
-  // per-lane variable shift, and accumulate the low bits.
-  __m256i acc = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi64x(1);
-  const __m128i mask63 = _mm_set1_epi32(63);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i ids = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(subset + i));
-    const __m128i word_idx = _mm_srli_epi32(ids, 6);
-    const __m256i words = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(row), word_idx, 8);
-    const __m256i shifts =
-        _mm256_cvtepu32_epi64(_mm_and_si128(ids, mask63));
-    acc = _mm256_add_epi64(
-        acc, _mm256_and_si256(_mm256_srlv_epi64(words, shifts), one));
-  }
-  size_t count = HorizontalSum(acc);
-  for (; i < n; ++i) {
-    const uint32_t u = subset[i];
-    count += (row[u >> 6] >> (u & 63)) & 1ULL;
-  }
-  return count;
-}
-
 constexpr Kernels kAvx2 = {
     "avx2",        Avx2IntersectCount, Avx2Popcount, Avx2IsSubset,
     Avx2Intersects, Avx2Or,            Avx2And,      Avx2AndNot,
-    Avx2RowConnCount,
 };
 
 #endif  // KBIPLEX_SIMD_X86
@@ -334,7 +294,6 @@ void NeonAndNot(uint64_t* dst, const uint64_t* src, size_t n) {
 constexpr Kernels kNeon = {
     "neon",        NeonIntersectCount, NeonPopcountWords, NeonIsSubset,
     NeonIntersects, NeonOr,            NeonAnd,           NeonAndNot,
-    ScalarRowConnCount,  // no gather on NEON; the scalar probe loop wins
 };
 
 #endif  // KBIPLEX_SIMD_NEON

@@ -1,14 +1,12 @@
-// Runtime-dispatched SIMD kernels for the word-loop primitives behind the
-// enumeration hot paths: bitset intersection popcounts, subset/overlap
-// tests, bulk bitwise operators, and the gather-style row connection count
-// of the adjacency index. A dense enumeration run issues tens of millions
-// of these per second (BENCH_candidate_gen.json), so the inner loops are
-// worth vectorizing — but correctness must never depend on the host CPU,
-// so every kernel has a portable scalar implementation and the dispatch
-// happens exactly once, at first use:
+// Runtime-dispatched SIMD kernels for the word-loop primitives behind
+// DynamicBitset: intersection popcounts, subset/overlap tests, and bulk
+// bitwise operators. The inner loops are worth vectorizing — but
+// correctness must never depend on the host CPU, so every kernel has a
+// portable scalar implementation and the dispatch happens exactly once,
+// at first use:
 //
 //   - x86-64 with AVX2 (detected via cpuid at startup): 256-bit kernels,
-//     nibble-LUT popcount, vpgatherqq row probing.
+//     nibble-LUT popcount.
 //   - AArch64: NEON kernels (NEON is baseline on AArch64, no detection
 //     needed) with vcnt-based popcount.
 //   - everything else, or when forced: the portable scalar word loops.
@@ -54,12 +52,6 @@ struct Kernels {
   void (*or_words)(uint64_t* dst, const uint64_t* src, size_t n);
   void (*and_words)(uint64_t* dst, const uint64_t* src, size_t n);
   void (*andnot_words)(uint64_t* dst, const uint64_t* src, size_t n);
-
-  /// Gather/popcount row probe: counts ids u in `subset[0..n)` whose bit
-  /// (row[u >> 6] >> (u & 63)) is set. The adjacency-index RowConnCount
-  /// primitive; `row` must cover the largest id's word.
-  size_t (*row_conn_count)(const uint64_t* row, const uint32_t* subset,
-                           size_t n);
 };
 
 /// The portable scalar implementation (always available).

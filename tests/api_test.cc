@@ -266,6 +266,26 @@ TEST(Validation, UnknownBackendOptionRejected) {
   EnumerateStats stats = Enumerate(g, req, &sink);
   EXPECT_FALSE(stats.ok());
   EXPECT_NE(stats.error.find("warp_speed"), std::string::npos);
+
+  // The adjacency-index and candidate-generator switches are gone; every
+  // backend that used to take them now rejects them as unknown.
+  for (const char* algorithm : {"itraversal", "btraversal", "large-mbp"}) {
+    for (const auto& [key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"adjacency_index", "auto"},
+             {"accel_budget", "0"},
+             {"candidate_gen", "auto"}}) {
+      EnumerateRequest removed;
+      removed.algorithm = algorithm;
+      removed.theta_left = removed.theta_right = 1;
+      removed.backend_options[key] = value;
+      EnumerateStats s = Enumerate(g, removed, &sink);
+      EXPECT_FALSE(s.ok()) << algorithm << " " << key;
+      EXPECT_NE(s.error.find("unknown backend option '" + key + "'"),
+                std::string::npos)
+          << algorithm << ": " << s.error;
+    }
+  }
 }
 
 TEST(Validation, BadBackendOptionValueRejected) {
@@ -276,6 +296,18 @@ TEST(Validation, BadBackendOptionValueRejected) {
   EnumerateStats stats = Enumerate(g, req, &sink);
   EXPECT_FALSE(stats.ok());
   EXPECT_NE(stats.error.find("anchored_side"), std::string::npos);
+
+  // Size options parse strictly: no sign, no whitespace, no trailing
+  // garbage (a wrapped "-1" would silently disable the inflation guard).
+  for (const char* value : {"-1", "10xyz", " 5", "+3"}) {
+    EnumerateRequest bad;
+    bad.algorithm = "inflation";
+    bad.backend_options["max_inflated_edges"] = value;
+    EnumerateStats s = Enumerate(g, bad, &sink);
+    EXPECT_FALSE(s.ok()) << "'" << value << "'";
+    EXPECT_NE(s.error.find("max_inflated_edges"), std::string::npos)
+        << "'" << value << "': " << s.error;
+  }
 }
 
 // ------------------------------------------------------ backend options ---
@@ -349,8 +381,7 @@ TEST(Stats, JsonRendering) {
   EXPECT_NE(json.find("\"completed\":true"), std::string::npos);
   EXPECT_NE(json.find("\"traversal\":{"), std::string::npos);
   EXPECT_EQ(json.find("\"error\""), std::string::npos);
-  // The acceleration counters ride along in the traversal detail block
-  // (schema stays backward compatible: purely additive fields).
+  // The work counters ride along in the traversal detail block.
   EXPECT_NE(json.find("\"candidates_generated\":"), std::string::npos);
   EXPECT_NE(json.find("\"candidates_pruned\":"), std::string::npos);
   EXPECT_NE(json.find("\"adjacency_tests\":"), std::string::npos);

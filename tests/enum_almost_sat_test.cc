@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/enumerator.h"
 #include "baselines/inflation_enum.h"
 #include "core/brute_force.h"
 #include "core/enum_almost_sat.h"
@@ -214,6 +215,40 @@ TEST(EnumAlmostSat, MinBSizePruneDropsSmallLocals) {
         if (b.right.size() >= 3) expect.push_back(b);
       }
       ASSERT_EQ(got, expect);
+    }
+  }
+}
+
+// ------------------------------------------------------------ workspace --
+
+TEST(EnumAlmostSatWorkspace, ReuseMatchesFreshAllocation) {
+  BipartiteGraph g = MakeRandomGraph({8, 8, 0.5, 39});
+  // A 1-biplex to expand: take the first solution of the engine.
+  EnumerateRequest req;
+  req.algorithm = "itraversal";
+  req.max_results = 4;
+  std::vector<Biplex> sols = Enumerator(g).Collect(req);
+  ASSERT_FALSE(sols.empty());
+
+  EnumAlmostSatWorkspace ws;
+  for (const Biplex& h : sols) {
+    for (VertexId v = 0; v < g.NumLeft(); ++v) {
+      if (sorted::Contains(h.left, v)) continue;
+      std::vector<Biplex> fresh, reused;
+      EnumAlmostSatOptions fresh_opts;
+      EnumAlmostSat(g, h, Side::kLeft, v, 1, fresh_opts,
+                    [&](const Biplex& b) {
+                      fresh.push_back(b);
+                      return true;
+                    });
+      EnumAlmostSatOptions reuse_opts;
+      reuse_opts.workspace = &ws;  // carries state across iterations
+      EnumAlmostSat(g, h, Side::kLeft, v, 1, reuse_opts,
+                    [&](const Biplex& b) {
+                      reused.push_back(b);
+                      return true;
+                    });
+      ASSERT_EQ(reused, fresh) << "v=" << v;
     }
   }
 }

@@ -400,6 +400,54 @@ std::set<std::string> KeysOf(const json::JsonValue& obj) {
   return keys;
 }
 
+TEST(ServeTest, LoadTakesNoOptions) {
+  ServerOptions options;
+  Server server(options);
+  ASSERT_EQ(server.Start(), "");
+  LineClient client;
+  ASSERT_EQ(client.Connect("127.0.0.1", server.port()), "");
+  const std::string load_prefix =
+      std::string("{\"op\":\"load\",\"id\":1,\"name\":\"toy\",\"path\":\"") +
+      kToyGraphPath + "\"";
+
+  // The removed index and renumbering switches are unknown load options.
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"renumber", "true"}, {"accel", "true"}, {"accel_budget", "1"}}) {
+    std::vector<Response> r = RoundTrip(
+        &client,
+        load_prefix + ",\"options\":{\"" + key + "\":" + value + "}}");
+    ASSERT_EQ(r[0].type, "error") << key;
+    EXPECT_EQ(NumberField(r[0].value, "code"), 400) << key;
+    const json::JsonValue* message = r[0].value.Find("message");
+    ASSERT_NE(message, nullptr);
+    EXPECT_EQ(message->AsString(), "unknown load option '" + key + "'");
+  }
+  std::vector<Response> r =
+      RoundTrip(&client, "{\"op\":\"list\",\"id\":2}");
+  ASSERT_EQ(r[0].type, "graphs");
+  EXPECT_TRUE(r[0].value.Find("graphs")->AsArray().empty());
+
+  // A plain load works, and the artifact block carries no index
+  // representation keys.
+  r = RoundTrip(&client, load_prefix + "}");
+  ASSERT_EQ(r[0].type, "loaded");
+  r = RoundTrip(&client, "{\"op\":\"stats\",\"id\":3}");
+  ASSERT_EQ(r[0].type, "stats");
+  const json::JsonValue& toy = r[0].value.Find("graphs")->AsArray()[0];
+  const json::JsonValue* artifacts = toy.Find("artifacts");
+  ASSERT_NE(artifacts, nullptr);
+  EXPECT_EQ(KeysOf(*artifacts),
+            (std::set<std::string>{"component_builds",
+                                   "component_subgraph_builds",
+                                   "core_bound_builds", "build_seconds",
+                                   "adjacency_memory_bytes"}));
+  EXPECT_EQ(NumberField(*artifacts, "adjacency_memory_bytes"), 0);
+
+  server.RequestDrain();
+  server.Wait();
+}
+
 TEST(ServeTest, UpdateOpRoundTripsAndStatsSchemaIsAdditive) {
   ServerOptions options;
   Server server(options);

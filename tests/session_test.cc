@@ -1,6 +1,6 @@
 // Tests of the prepare/execute session API: PreparedGraph artifact caching
-// (built at most once under concurrent sessions), renumbering map-back
-// agreement with the seed path for all eight algorithms, scratch reuse
+// (built at most once under concurrent sessions), session agreement with
+// the seed path for all eight algorithms, scratch reuse
 // across interleaved queries, the sink threading contract, the core-bound
 // short-circuit, and JSON stats schema stability of the Enumerate shim.
 #include <algorithm>
@@ -45,15 +45,11 @@ EnumerateRequest UniversalRequest(const std::string& algorithm) {
 
 TEST(PreparedGraphTest, ArtifactsBuildLazilyAndOnce) {
   BipartiteGraph g = MakeRandomGraph({8, 8, 0.5, 7});
-  auto prepared =
-      PreparedGraph::Prepare(std::move(g), {.renumber = true});
+  auto prepared = PreparedGraph::Prepare(std::move(g));
   PrepareArtifactStats before = prepared->artifact_stats();
-  EXPECT_EQ(before.execution_graph_builds, 0);
   EXPECT_EQ(before.component_builds, 0);
   EXPECT_EQ(before.core_bound_builds, 0);
 
-  prepared->ExecutionGraph();
-  prepared->ExecutionGraph();
   prepared->Components();
   prepared->ComponentSubgraphs();
   prepared->ComponentSubgraphs();
@@ -61,7 +57,6 @@ TEST(PreparedGraphTest, ArtifactsBuildLazilyAndOnce) {
   prepared->MaxUniformCore();
 
   PrepareArtifactStats after = prepared->artifact_stats();
-  EXPECT_EQ(after.execution_graph_builds, 1);
   EXPECT_EQ(after.component_builds, 1);
   EXPECT_EQ(after.component_subgraph_builds, 1);
   EXPECT_EQ(after.core_bound_builds, 1);
@@ -130,9 +125,7 @@ TEST(PreparedGraphTest, ComponentShardedQueriesReuseTheSubgraphCache) {
 
 TEST(PreparedGraphTest, ArtifactsBuildOnceUnderConcurrentSessions) {
   BipartiteGraph g = MakeRandomGraph({10, 10, 0.4, 11});
-  auto prepared = PreparedGraph::Prepare(
-      std::move(g),
-      {.adjacency_index = AdjacencyAccelMode::kForce, .renumber = true});
+  auto prepared = PreparedGraph::Prepare(std::move(g));
 
   // Many sessions over one prepared graph, all racing to build every
   // artifact and to answer the same query; the builds must collapse to one
@@ -161,33 +154,20 @@ TEST(PreparedGraphTest, ArtifactsBuildOnceUnderConcurrentSessions) {
   for (int t = 1; t < kSessions; ++t) EXPECT_EQ(counts[t], counts[0]);
 
   PrepareArtifactStats stats = prepared->artifact_stats();
-  EXPECT_EQ(stats.execution_graph_builds, 1);
-  EXPECT_LE(stats.component_builds, 1);  // built only if a query needed it
+  EXPECT_EQ(stats.component_builds, 1);
   EXPECT_EQ(stats.core_bound_builds, 1);
-  EXPECT_NE(prepared->ExecutionGraph().adjacency_index(), nullptr);
 }
 
-TEST(PreparedGraphTest, BorrowNeverMutatesTheCallerGraph) {
+TEST(PreparedGraphTest, QueriesExecuteOnTheInputGraph) {
   BipartiteGraph g = MakeRandomGraph({6, 6, 0.5, 3});
   auto borrowed = PreparedGraph::Borrow(g);
+  EXPECT_EQ(&borrowed->graph(), &g);
   EXPECT_EQ(&borrowed->ExecutionGraph(), &g);
-  borrowed->Components();
-  borrowed->MaxUniformCore();
-  EXPECT_EQ(g.adjacency_index(), nullptr);
-  EXPECT_FALSE(borrowed->renumbered());
-}
 
-TEST(PreparedGraphTest, AutoIndexRespectsTheEngineThreshold) {
-  // Far below kAutoIndexMinEdges: kAuto must not attach an index.
-  BipartiteGraph small = MakeRandomGraph({6, 6, 0.5, 5});
-  ASSERT_LT(small.NumEdges(), kAutoIndexMinEdges);
-  auto prepared = PreparedGraph::Prepare(std::move(small), {});
-  EXPECT_EQ(prepared->ExecutionGraph().adjacency_index(), nullptr);
-
-  BipartiteGraph forced = MakeRandomGraph({6, 6, 0.5, 5});
-  auto prepared_force = PreparedGraph::Prepare(
-      std::move(forced), {.adjacency_index = AdjacencyAccelMode::kForce});
-  EXPECT_NE(prepared_force->ExecutionGraph().adjacency_index(), nullptr);
+  auto prepared = PreparedGraph::Prepare(BipartiteGraph(g));
+  EXPECT_EQ(&prepared->ExecutionGraph(), &prepared->graph());
+  prepared->Warmup();
+  EXPECT_EQ(prepared->artifact_stats().adjacency_memory_bytes, 0u);
 }
 
 TEST(PreparedGraphTest, MaxUniformCoreMatchesCorePeelingDefinition) {
@@ -210,15 +190,13 @@ TEST(PreparedGraphTest, MaxUniformCoreMatchesCorePeelingDefinition) {
             0u);
 }
 
-// ------------------------------------------- renumbered map-back parity --
+// ---------------------------------------------------------- seed parity --
 
-TEST(QuerySessionTest, RenumberedSessionMatchesSeedForAllAlgorithms) {
+TEST(QuerySessionTest, PreparedSessionMatchesSeedForAllAlgorithms) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     BipartiteGraph g = MakeRandomGraph({7, 6, 0.5, seed});
     Enumerator seed_path(g);
-    auto prepared = PreparedGraph::Prepare(
-        BipartiteGraph(g),
-        {.adjacency_index = AdjacencyAccelMode::kForce, .renumber = true});
+    auto prepared = PreparedGraph::Prepare(BipartiteGraph(g));
     QuerySession session(prepared);
     for (const std::string& name : AllAlgorithms()) {
       EnumerateRequest req = UniversalRequest(name);
@@ -232,8 +210,7 @@ TEST(QuerySessionTest, RenumberedSessionMatchesSeedForAllAlgorithms) {
           << ToString(got) << "want:\n"
           << ToString(expect);
 
-      // The same prepared graph must serve parallel requests, still in
-      // input ids.
+      // The same prepared graph must serve parallel requests.
       EnumerateRequest par = req;
       par.threads = 4;
       std::vector<Biplex> got_par = session.Collect(par, &session_stats);

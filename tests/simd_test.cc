@@ -35,7 +35,6 @@ TEST(SimdKernels, TablesAreWellFormed) {
     ASSERT_NE(k->or_words, nullptr);
     ASSERT_NE(k->and_words, nullptr);
     ASSERT_NE(k->andnot_words, nullptr);
-    ASSERT_NE(k->row_conn_count, nullptr);
   }
   EXPECT_STREQ(simd::Scalar().name, "scalar");
   // Active is either the native table or the forced scalar table — never
@@ -116,45 +115,6 @@ TEST(SimdKernels, SubsetAndIntersectAgreeOnConstructedCases) {
     for (size_t i = 0; i < n; ++i) c[i] = ~b[i];
     EXPECT_FALSE(v.intersects(c.data(), b.data(), n)) << "n=" << n;
     EXPECT_FALSE(s.intersects(c.data(), b.data(), n)) << "n=" << n;
-  }
-}
-
-TEST(SimdKernels, RowConnCountMatchesScalarAtWordBoundaries) {
-  const simd::Kernels& s = simd::Scalar();
-  const simd::Kernels& v = simd::Native();
-  Rng rng(43);
-  // Bit universes straddling word boundaries, the sizes the adjacency
-  // index representation-agreement suite also pins.
-  for (size_t bits : {63u, 64u, 65u, 127u, 129u, 4096u}) {
-    const size_t words = (bits + 63) / 64;
-    std::vector<uint64_t> row = RandomWords(words, &rng);
-    // Clear bits past the universe so every id is addressable.
-    if (bits % 64 != 0) row.back() &= (1ULL << (bits % 64)) - 1;
-    for (size_t count : {size_t{0}, size_t{1}, size_t{3}, bits / 2, bits}) {
-      std::vector<uint64_t> sample = rng.SampleDistinct(bits, count);
-      std::vector<uint32_t> subset(sample.begin(), sample.end());
-      EXPECT_EQ(v.row_conn_count(row.data(), subset.data(), subset.size()),
-                s.row_conn_count(row.data(), subset.data(), subset.size()))
-          << "bits=" << bits << " count=" << count;
-    }
-  }
-}
-
-TEST(SimdKernels, RowConnCountCountsExactly) {
-  // Not just scalar/native agreement: the scalar reference itself must
-  // count set bits exactly. One fixed case with hand-checkable answers.
-  std::vector<uint64_t> row = {0, 0, 0};
-  const auto set_bit = [&row](uint32_t u) {
-    row[u >> 6] |= 1ULL << (u & 63);
-  };
-  for (uint32_t u : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 191u}) set_bit(u);
-  const std::vector<uint32_t> all = {0,  1,  2,  62, 63,  64,
-                                     65, 66, 127, 128, 190, 191};
-  // Present: 0, 1, 63, 64, 65, 127, 128, 191 -> 8 of the 12 probed.
-  for (const simd::Kernels* k : {&simd::Scalar(), &simd::Native()}) {
-    EXPECT_EQ(k->row_conn_count(row.data(), all.data(), all.size()), 8u)
-        << k->name;
-    EXPECT_EQ(k->row_conn_count(row.data(), all.data(), 0), 0u) << k->name;
   }
 }
 

@@ -310,5 +310,56 @@ TEST(Traversal, SideWithSingleVertex) {
   }
 }
 
+// ------------------------------------------------- 2-hop candidate gate --
+
+// Left-anchored, right-shrinking runs with prune_small and theta_other > k
+// draw Step-1 candidates from the 2-hop generator; the result must still
+// be exactly the large MBPs.
+TEST(TwoHopCandidates, GatedRunMatchesBruteForce) {
+  for (uint64_t seed : {37, 40, 41}) {
+    BipartiteGraph g = MakeRandomGraph({8, 8, 0.5, seed});
+    const std::vector<Biplex> all = BruteForceMaximalBiplexes(g, 1);
+    for (size_t theta : {2, 3}) {
+      TraversalOptions opts = MakeITraversalOptions(1);
+      opts.theta_left = opts.theta_right = theta;
+      opts.prune_small = true;
+      ASSERT_EQ(CollectWith(g, opts), FilterBySize(all, theta, theta))
+          << "seed=" << seed << " theta=" << theta;
+    }
+  }
+}
+
+// The generator only proposes vertices with at least theta_other - k
+// connections into the current solution, so isolated vertices on the
+// anchored side are never candidates: ten more of them add no work,
+// where a full-side scan would examine each one in every frame. Both
+// graphs carry some padding because the Section 5 left-side prune
+// depends on the anchored side's size.
+TEST(TwoHopCandidates, IsolatedVerticesAreNeverCandidates) {
+  const std::vector<BipartiteGraph::Edge> edges =
+      MakeRandomGraph({8, 8, 0.5, 37}).Edges();
+  const BipartiteGraph g = BipartiteGraph::FromEdges(10, 8, edges);
+  const BipartiteGraph padded = BipartiteGraph::FromEdges(20, 8, edges);
+  TraversalOptions opts = MakeITraversalOptions(1);
+  opts.theta_left = opts.theta_right = 3;
+  opts.prune_small = true;
+  TraversalStats base, pad;
+  EXPECT_EQ(CollectWith(padded, opts, &pad), CollectWith(g, opts, &base));
+  EXPECT_GT(base.candidates_generated, 0u);
+  EXPECT_EQ(pad.candidates_generated, base.candidates_generated);
+  EXPECT_EQ(pad.almost_sat_graphs, base.almost_sat_graphs);
+  EXPECT_EQ(pad.links, base.links);
+}
+
+TEST(TwoHopCandidates, RightAnchoredTraversalMatchesBruteForce) {
+  BipartiteGraph g = MakeRandomGraph({8, 9, 0.45, 38});
+  TraversalOptions opts = MakeITraversalOptions(1);
+  opts.anchored_side = Side::kRight;
+  opts.theta_left = opts.theta_right = 2;
+  opts.prune_small = true;
+  EXPECT_EQ(CollectWith(g, opts),
+            FilterBySize(BruteForceMaximalBiplexes(g, 1), 2, 2));
+}
+
 }  // namespace
 }  // namespace kbiplex

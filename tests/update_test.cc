@@ -12,7 +12,6 @@
 
 #include "api/prepared_graph.h"
 #include "api/query_session.h"
-#include "graph/adjacency_index.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
@@ -176,69 +175,6 @@ TEST(IncrementalRelabelTest, SplitsAComponent) {
   EXPECT_EQ(got.right, want.right);
 }
 
-// ------------------------------------------------------- patched index ----
-
-TEST(PatchedIndexTest, MatchesFreshBuildUnderBudget) {
-  // Budget chosen to force a mix of dense, sparse, and dropped rows; the
-  // patched index must reproduce the fresh build's plan and contents for
-  // every row.
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed);
-    const BipartiteGraph g = ErdosRenyiProbBipartite(24, 24, 0.4, &rng);
-    AdjacencyIndex prev(g, /*min_degree=*/2, /*memory_budget_bytes=*/512);
-    std::vector<Edge> ins, del;
-    RandomBatch(g, 5, &rng, &ins, &del);
-    std::sort(ins.begin(), ins.end());
-    std::sort(del.begin(), del.end());
-    const BipartiteGraph next = g.WithEdgeDelta(ins, del);
-
-    std::vector<VertexId> changed_left, changed_right;
-    for (const Edge& e : ins) {
-      changed_left.push_back(e.first);
-      changed_right.push_back(e.second);
-    }
-    for (const Edge& e : del) {
-      changed_left.push_back(e.first);
-      changed_right.push_back(e.second);
-    }
-    std::sort(changed_left.begin(), changed_left.end());
-    changed_left.erase(
-        std::unique(changed_left.begin(), changed_left.end()),
-        changed_left.end());
-    std::sort(changed_right.begin(), changed_right.end());
-    changed_right.erase(
-        std::unique(changed_right.begin(), changed_right.end()),
-        changed_right.end());
-
-    const AdjacencyIndex patched(next, prev, changed_left, changed_right);
-    const AdjacencyIndex fresh(next, 2, 512);
-
-    EXPECT_EQ(patched.representation_stats().dense_rows,
-              fresh.representation_stats().dense_rows);
-    EXPECT_EQ(patched.representation_stats().sparse_rows,
-              fresh.representation_stats().sparse_rows);
-    EXPECT_EQ(patched.representation_stats().dropped_rows,
-              fresh.representation_stats().dropped_rows);
-    for (const Side side : {Side::kLeft, Side::kRight}) {
-      const size_t n =
-          side == Side::kLeft ? next.NumLeft() : next.NumRight();
-      const size_t m =
-          side == Side::kLeft ? next.NumRight() : next.NumLeft();
-      for (VertexId v = 0; v < n; ++v) {
-        ASSERT_EQ(patched.HasRow(side, v), fresh.HasRow(side, v))
-            << "seed " << seed;
-        if (!patched.HasRow(side, v)) continue;
-        for (VertexId u = 0; u < m; ++u) {
-          ASSERT_EQ(patched.TestRow(side, v, u), fresh.TestRow(side, v, u))
-              << "seed " << seed << " side "
-              << (side == Side::kLeft ? "L" : "R") << " row " << v
-              << " col " << u;
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------- epoch semantics ----
 
 EnumerateRequest BasicRequest(int threads = 1) {
@@ -341,17 +277,11 @@ TEST(ApplyUpdatesTest, EmptyBatchStillAdvancesTheEpoch) {
 // ------------------------------------------- update-vs-rebuild fuzzing ----
 
 /// The full acceptance sweep: chains of random batches applied
-/// incrementally under the serving configuration (renumber + forced
-/// budgeted index, so rows land in mixed representations) must enumerate
-/// exactly like a fresh Prepare of the final graph, for every backend,
-/// sequentially and with threads=4.
+/// incrementally (spliced CSR, relabeled components, carried core bound)
+/// must enumerate exactly like a fresh Prepare of the final graph, for
+/// every backend, sequentially and with threads=4.
 TEST(UpdateVsRebuildFuzzTest, AllBackendsAgreeAfterUpdateChains) {
-  PrepareOptions prep;
-  prep.renumber = true;
-  prep.adjacency_index = AdjacencyAccelMode::kForce;
-  prep.adjacency_min_degree = 1;
-  prep.accel_budget_bytes = 256;  // forces dense/sparse/dropped mix
-
+  const PrepareOptions prep;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed * 131);
     const BipartiteGraph start = ErdosRenyiProbBipartite(10, 9, 0.3, &rng);

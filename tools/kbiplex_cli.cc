@@ -6,7 +6,7 @@
 //                     [--theta-r N] [--threads N] [--opt KEY=VALUE]...
 //                     [--format text|json] [--quiet]
 //   kbiplex large     <edge-list> --theta-l N --theta-r N [--k N] [...]
-//   kbiplex batch     <edge-list> [--queries FILE] [--accel] [--renumber]
+//   kbiplex batch     <edge-list> [--queries FILE]
 //   kbiplex stats     <edge-list>
 //   kbiplex algos
 //
@@ -15,12 +15,11 @@
 // json, solutions print as JSON lines and the unified run statistics
 // follow as a final JSON object on stdout, ready for scripting.
 //
-// `batch` is the amortized serving mode: the graph is prepared once
-// (optionally with an attached adjacency index and degeneracy
-// renumbering), then every line of the query file — request flags in the
-// same syntax as `enumerate`, e.g. "--algo itraversal --k 2 --max 100" —
-// executes against one QuerySession. Empty lines and lines starting with
-// '#' are skipped. Exactly one JSON stats object is printed per query
+// `batch` is the amortized serving mode: the graph is prepared once, then
+// every line of the query file — request flags in the same syntax as
+// `enumerate`, e.g. "--algo itraversal --k 2 --max 100" — executes
+// against one QuerySession. Empty lines and lines starting with '#' are
+// skipped. Exactly one JSON stats object is printed per query
 // line; solutions themselves are not printed. --queries defaults to "-"
 // (stdin).
 //
@@ -61,9 +60,6 @@ struct CliArgs {
   bool json = false;
   bool sort = false;    // buffer + emit solutions in canonical order
   bool quiet = false;   // suppress solution lines, print counts only
-  bool accel = false;   // attach the hybrid adjacency index at prepare time
-  bool renumber = false;  // degeneracy-renumber; ids mapped back on output
-  size_t accel_budget = 0;  // index memory budget in bytes (0 = unlimited)
 };
 
 void PrintUsage() {
@@ -79,12 +75,10 @@ void PrintUsage() {
                "[--threads N]\n"
                "                    [--opt KEY=VALUE]... [--format text|json] "
                "[--quiet]\n"
-               "                    [--sort] [--accel] [--accel-budget B] "
-               "[--renumber]\n"
+               "                    [--sort]\n"
                "  kbiplex large <edge-list> --theta-l N --theta-r N [--k N] "
                "[--max N] [--budget S] [--quiet]\n"
-               "  kbiplex batch <edge-list> [--queries FILE|-] [--accel] "
-               "[--renumber]\n"
+               "  kbiplex batch <edge-list> [--queries FILE|-]\n"
                "  kbiplex stats <edge-list>\n"
                "  kbiplex algos\n"
                "batch reads one query per line (request flags, e.g. \"--algo "
@@ -127,20 +121,6 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
       args.quiet = true;
     } else if (flag == "--sort") {
       args.sort = true;
-    } else if (flag == "--accel") {
-      args.accel = true;
-    } else if (flag == "--accel-budget") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      try {
-        args.accel_budget = static_cast<size_t>(std::stoull(*v));
-      } catch (...) {
-        std::cerr << "--accel-budget expects a byte count, got: " << *v
-                  << "\n";
-        return std::nullopt;
-      }
-    } else if (flag == "--renumber") {
-      args.renumber = true;
     } else if (flag == "--queries") {
       auto v = next();
       if (!v) return std::nullopt;
@@ -162,30 +142,21 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
   return args;
 }
 
-/// The prepare-time artifact policy of the CLI: no flag leaves the graph
-/// exactly as loaded (engines may still build per-run indexes under their
-/// own kAuto policy, matching the pre-session CLI byte for byte); --accel
-/// attaches the shared index unconditionally; --renumber enumerates on
-/// the degeneracy-renumbered graph with automatic map-back. The
-/// core-bound short-circuit stays off for the one-shot commands
-/// (enumerate/large answer one query — pre-session stats output,
-/// including the backend counter blocks, must not change) and on for
-/// batch, where the bound amortizes over the query stream.
-PrepareOptions PreparePolicy(const CliArgs& args, bool one_shot) {
+/// The prepare policy of the CLI: the core-bound short-circuit stays off
+/// for the one-shot commands (enumerate/large answer one query —
+/// pre-session stats output, including the backend counter blocks, must
+/// not change) and on for batch, where the bound amortizes over the query
+/// stream.
+PrepareOptions PreparePolicy(bool one_shot) {
   PrepareOptions opts;
-  opts.adjacency_index =
-      args.accel ? AdjacencyAccelMode::kForce : AdjacencyAccelMode::kOff;
-  opts.accel_budget_bytes = args.accel_budget;
-  opts.renumber = args.renumber;
   opts.core_bound_shortcut = !one_shot;
   return opts;
 }
 
 int RunRequest(const CliArgs& args, BipartiteGraph g) {
   const size_t num_vertices = g.NumVertices();
-  QuerySession session(PreparedGraph::Prepare(std::move(g),
-                                              PreparePolicy(args,
-                                                            /*one_shot=*/true)));
+  QuerySession session(
+      PreparedGraph::Prepare(std::move(g), PreparePolicy(/*one_shot=*/true)));
   StreamWriterSink writer(&std::cout,
                           args.json ? StreamWriterSink::Format::kJsonLines
                                     : StreamWriterSink::Format::kText);
@@ -295,13 +266,13 @@ int CmdBatch(const CliArgs& args, BipartiteGraph g) {
     in = &file;
   }
 
-  // One prepare, N executes: every artifact (index, renumbering,
-  // components, core bounds) and all engine scratch is shared across the
+  // One prepare, N executes: every artifact (components, core bounds)
+  // and all engine scratch is shared across the
   // whole batch through the session. An `update` line replaces the
   // prepared epoch (copy-on-write) and the session is rebuilt against it;
   // engine scratch is the only thing lost.
   std::shared_ptr<const PreparedGraph> prepared = PreparedGraph::Prepare(
-      std::move(g), PreparePolicy(args, /*one_shot=*/false));
+      std::move(g), PreparePolicy(/*one_shot=*/false));
   auto session = std::make_unique<QuerySession>(prepared);
   bool all_ok = true;
   std::string line;
