@@ -1,7 +1,7 @@
-// Google-benchmark micro benchmarks for the core primitives: B-tree
-// insertion, bitset sweeps, graph construction, core decomposition,
-// EnumAlmostSat and maximal extension. These track the constant factors
-// behind the figure-level harnesses.
+// Google-benchmark micro benchmarks for the core primitives: bitset
+// sweeps, graph construction, core decomposition, EnumAlmostSat and
+// maximal extension. These track the constant factors behind the
+// figure-level harnesses.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -14,52 +14,11 @@
 #include "core/enum_almost_sat.h"
 #include "graph/core_decomposition.h"
 #include "graph/generators.h"
-#include "index/btree.h"
 #include "util/dynamic_bitset.h"
 #include "util/random.h"
 
 namespace kbiplex {
 namespace {
-
-void BM_BTreeInsert(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(1);
-  std::vector<std::string> keys;
-  keys.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Biplex b{{static_cast<VertexId>(rng.NextBelow(1u << 20))},
-             {static_cast<VertexId>(rng.NextBelow(1u << 20)),
-              static_cast<VertexId>(i)}};
-    keys.push_back(EncodeBiplexKey(b));
-  }
-  for (auto _ : state) {
-    BTreeSet tree;
-    for (const auto& k : keys) tree.Insert(k);
-    benchmark::DoNotOptimize(tree.Size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_BTreeLookup(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(2);
-  BTreeSet tree;
-  std::vector<std::string> keys;
-  for (size_t i = 0; i < n; ++i) {
-    Biplex b{{static_cast<VertexId>(i)},
-             {static_cast<VertexId>(rng.NextBelow(1u << 20))}};
-    keys.push_back(EncodeBiplexKey(b));
-    tree.Insert(keys.back());
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Contains(keys[i++ % n]));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BTreeLookup)->Arg(10000)->Arg(100000);
 
 void BM_BitsetIntersects(benchmark::State& state) {
   const size_t bits = static_cast<size_t>(state.range(0));

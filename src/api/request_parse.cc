@@ -54,6 +54,16 @@ bool ParseDouble(const std::string& s, double* out) {
   return true;
 }
 
+bool ParseEdgeToken(const std::string& s, VertexId* l, VertexId* r) {
+  const size_t colon = s.find(':');
+  if (colon == std::string::npos) return false;
+  const char* end = s.data() + s.size();
+  auto [lp, lec] = std::from_chars(s.data(), s.data() + colon, *l);
+  auto [rp, rec] = std::from_chars(s.data() + colon + 1, end, *r);
+  return lec == std::errc() && lp == s.data() + colon &&
+         rec == std::errc() && rp == end;
+}
+
 RequestFlagParse ParseRequestFlag(const std::vector<std::string>& tokens,
                                   size_t* i, EnumerateRequest* request,
                                   std::string* error) {

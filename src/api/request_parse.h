@@ -71,6 +71,11 @@ bool ParseUint64(const std::string& s, uint64_t* out);
 bool ParseSize(const std::string& s, size_t* out);
 bool ParseDouble(const std::string& s, double* out);
 
+/// Parses an edge token "L:R" (two vertex ids, each at most 4294967295,
+/// no sign) with the same strictness. Shared by the CLI `batch` update
+/// lines and the client's --insert/--delete flags.
+bool ParseEdgeToken(const std::string& s, VertexId* l, VertexId* r);
+
 }  // namespace kbiplex
 
 #endif  // KBIPLEX_API_REQUEST_PARSE_H_

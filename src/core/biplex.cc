@@ -1,7 +1,6 @@
 #include "core/biplex.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace kbiplex {
 namespace {
@@ -11,13 +10,6 @@ void AppendBigEndian(std::string* out, uint32_t x) {
   out->push_back(static_cast<char>((x >> 16) & 0xff));
   out->push_back(static_cast<char>((x >> 8) & 0xff));
   out->push_back(static_cast<char>(x & 0xff));
-}
-
-uint32_t ReadBigEndian(const char* p) {
-  return (static_cast<uint32_t>(static_cast<unsigned char>(p[0])) << 24) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 16) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 8) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3]));
 }
 
 // MaximalExtender scratch encodings: member flag in the connection
@@ -36,25 +28,6 @@ std::string EncodeBiplexKey(const Biplex& b) {
   for (VertexId v : b.left) AppendBigEndian(&key, v);
   for (VertexId u : b.right) AppendBigEndian(&key, u);
   return key;
-}
-
-Biplex DecodeBiplexKey(std::string_view key) {
-  assert(key.size() % 4 == 0 && key.size() >= 4);
-  Biplex b;
-  const size_t total = key.size() / 4 - 1;
-  const size_t nl = ReadBigEndian(key.data());
-  assert(nl <= total);
-  b.left.reserve(nl);
-  b.right.reserve(total - nl);
-  for (size_t i = 1; i <= total; ++i) {
-    uint32_t id = ReadBigEndian(key.data() + 4 * i);
-    if (i <= nl) {
-      b.left.push_back(id);
-    } else {
-      b.right.push_back(id);
-    }
-  }
-  return b;
 }
 
 bool IsKBiplex(const BipartiteGraph& g, const Biplex& b, KPair k) {

@@ -5,7 +5,6 @@
 #define KBIPLEX_CORE_BIPLEX_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -60,13 +59,9 @@ struct Biplex {
 };
 
 /// Serializes a biplex into a canonical byte key: 4-byte big-endian |L|
-/// followed by big-endian ids of L then R. Big-endian keeps byte-wise
-/// lexicographic comparisons consistent with numeric order, so the
-/// B-tree solution store iterates solutions in a meaningful order.
+/// followed by big-endian ids of L then R. The |L| prefix makes the key
+/// injective: {1}|{2} and {1,2}|{} encode differently.
 std::string EncodeBiplexKey(const Biplex& b);
-
-/// Inverse of EncodeBiplexKey.
-Biplex DecodeBiplexKey(std::string_view key);
 
 /// True iff G[L ∪ R] is a k-biplex (Definition 2.1): every left member
 /// disconnects at most k.left members of R and every right member at most

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "baselines/inflation_enum.h"
-#include "core/solution_store.h"
 #include "util/arena_pool.h"
 #include "util/dynamic_bitset.h"
 #include "util/timer.h"
@@ -105,7 +106,7 @@ class TraversalEngine::Impl {
   TraversalStats Run(const SolutionCallback& cb) {
     stats_ = TraversalStats();
     cb_ = &cb;
-    store_ = std::make_unique<SolutionStore>();
+    seen_.clear();
     stop_ = false;
     WallTimer timer;
     Deadline deadline(opts_.time_budget_seconds);
@@ -113,7 +114,7 @@ class TraversalEngine::Impl {
 
     Biplex h0 = InitialSolution();
     if (gen_mode_ != GenMode::kScan) InitConnCounts(h0);
-    store_->Insert(h0);
+    seen_.insert(EncodeBiplexKey(h0));
     ++stats_.solutions_found;
     std::vector<std::unique_ptr<Frame>> stack;
     stack.push_back(MakeFrame(std::move(h0), 0, nullptr));
@@ -588,7 +589,7 @@ class TraversalEngine::Impl {
         stats_.completed = false;
         return false;
       }
-      if (store_->Insert(sol)) {
+      if (seen_.insert(EncodeBiplexKey(sol)).second) {
         ++stats_.solutions_found;
         f->batch.push_back(sol);
       } else {
@@ -656,7 +657,9 @@ class TraversalEngine::Impl {
   Biplex extend_buf_;
   TraversalStats stats_;
   const SolutionCallback* cb_ = nullptr;
-  std::unique_ptr<SolutionStore> store_;
+  // Keys of every solution reached this run (Algorithm 1, line 1): a
+  // link recurses only on first discovery.
+  std::unordered_set<std::string> seen_;
   const Deadline* deadline_ = nullptr;
   bool stop_ = false;
 

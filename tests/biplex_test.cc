@@ -16,26 +16,18 @@ using testing_support::MakeRandomGraph;
 using testing_support::RandomGraphCase;
 using testing_support::ToString;
 
-TEST(BiplexKey, RoundTrip) {
-  Biplex b{{1, 5, 9}, {0, 2}};
-  Biplex back = DecodeBiplexKey(EncodeBiplexKey(b));
-  EXPECT_EQ(back, b);
-}
-
-TEST(BiplexKey, EmptySides) {
-  Biplex b;
-  EXPECT_EQ(DecodeBiplexKey(EncodeBiplexKey(b)), b);
-  Biplex l{{3}, {}};
-  EXPECT_EQ(DecodeBiplexKey(EncodeBiplexKey(l)), l);
-  Biplex r{{}, {7}};
-  EXPECT_EQ(DecodeBiplexKey(EncodeBiplexKey(r)), r);
-}
-
 TEST(BiplexKey, DistinctBiplexesDistinctKeys) {
-  // (|L|, ids...) framing distinguishes {1|2} from {1 2|}.
-  Biplex a{{1}, {2}};
-  Biplex b{{1, 2}, {}};
-  EXPECT_NE(EncodeBiplexKey(a), EncodeBiplexKey(b));
+  // (|L|, ids...) framing distinguishes {1}|{2} from {1,2}|{}, and the
+  // side a vertex sits on is part of the key.
+  const std::vector<Biplex> cases = {
+      {{}, {}}, {{3}, {}}, {{}, {3}}, {{1}, {2}}, {{1, 2}, {}}, {{}, {1, 2}},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    for (size_t j = i + 1; j < cases.size(); ++j) {
+      EXPECT_NE(EncodeBiplexKey(cases[i]), EncodeBiplexKey(cases[j]))
+          << ToString(cases[i]) << " vs " << ToString(cases[j]);
+    }
+  }
 }
 
 TEST(IsKBiplex, Definition) {

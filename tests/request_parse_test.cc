@@ -60,6 +60,21 @@ TEST(RequestParseTest, FlagLineRejectsUnknownAndMalformed) {
   EXPECT_NE(LineError("--opt novalue"), "");  // --opt wants KEY=VALUE
 }
 
+TEST(RequestParseTest, EdgeTokenIsStrict) {
+  VertexId l = 7, r = 7;
+  ASSERT_TRUE(ParseEdgeToken("0:1", &l, &r));
+  EXPECT_EQ(l, 0u);
+  EXPECT_EQ(r, 1u);
+  ASSERT_TRUE(ParseEdgeToken("4294967295:0", &l, &r));
+  EXPECT_EQ(l, 4294967295u);
+  EXPECT_EQ(r, 0u);
+
+  for (const char* bad : {"4294967296:0", "1x:0", "-1:2", "+1:2", ":3", "3:",
+                          "1:2:3", ""}) {
+    EXPECT_FALSE(ParseEdgeToken(bad, &l, &r)) << "'" << bad << "'";
+  }
+}
+
 TEST(RequestParseTest, JsonFormParsesAndRejectsUnknownKeys) {
   json::ParseResult parsed = json::Parse(
       "{\"algo\":\"large-mbp\",\"kl\":2,\"kr\":1,\"theta_l\":3,"

@@ -218,9 +218,7 @@ std::string ParseUpdateLine(const std::string& rest,
     if (token == "--max-delta-fraction") {
       std::string value;
       if (!(is >> value)) return "--max-delta-fraction expects a number";
-      try {
-        options->max_delta_fraction = std::stod(value);
-      } catch (...) {
+      if (!ParseDouble(value, &options->max_delta_fraction)) {
         return "--max-delta-fraction expects a number, got: " + value;
       }
       if (options->max_delta_fraction < 0) {
@@ -228,20 +226,10 @@ std::string ParseUpdateLine(const std::string& rest,
       }
       continue;
     }
-    if (token.size() < 4 || (token[0] != '+' && token[0] != '-')) {
+    VertexId l = 0, r = 0;
+    if ((token[0] != '+' && token[0] != '-') ||
+        !ParseEdgeToken(token.substr(1), &l, &r)) {
       return "bad update token '" + token + "' (want +L:R or -L:R)";
-    }
-    const size_t colon = token.find(':', 1);
-    if (colon == std::string::npos || colon == 1 ||
-        colon + 1 >= token.size()) {
-      return "bad update token '" + token + "' (want +L:R or -L:R)";
-    }
-    VertexId l, r;
-    try {
-      l = static_cast<VertexId>(std::stoul(token.substr(1, colon - 1)));
-      r = static_cast<VertexId>(std::stoul(token.substr(colon + 1)));
-    } catch (...) {
-      return "bad vertex ids in update token '" + token + "'";
     }
     if (token[0] == '+') {
       batch->Insert(l, r);

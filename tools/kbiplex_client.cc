@@ -46,15 +46,6 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-/// Parses "L:R" into an edge; false on malformed input.
-bool ParseEdgeFlag(const std::string& s, uint64_t* l, uint64_t* r) {
-  const size_t colon = s.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= s.size())
-    return false;
-  return kbiplex::ParseUint64(s.substr(0, colon), l) &&
-         kbiplex::ParseUint64(s.substr(colon + 1), r);
-}
-
 enum class Pump { kOk, kError, kFatal };
 
 /// Reads response lines for one command, printing each. kError means the
@@ -107,8 +98,8 @@ int main(int argc, char** argv) {
     for (int t = i + 2; t < argc; ++t) {
       const std::string flag = argv[t];
       if ((flag == "--insert" || flag == "--delete") && t + 1 < argc) {
-        uint64_t l = 0, r = 0;
-        if (!ParseEdgeFlag(argv[++t], &l, &r)) {
+        kbiplex::VertexId l = 0, r = 0;
+        if (!kbiplex::ParseEdgeToken(argv[++t], &l, &r)) {
           std::fprintf(stderr, "kbiplex-client: bad %s edge '%s'\n",
                        flag.c_str(), argv[t]);
           return 2;
