@@ -1,12 +1,11 @@
 // Incremental update benchmark: the cost of publishing a new epoch via
-// PreparedGraph::ApplyUpdates (CSR splice, union-find component relabel,
-// carried core bound) versus a full
-// re-Prepare of the mutated edge list, at delta sizes of 0.1%, 1% and 10%
-// of the edges. Both paths end fully warmed (every artifact built), so
-// the speedup compares equal end states.
+// PreparedGraph::ApplyUpdates (CSR splice, then lazy artifacts built by
+// Warmup) versus a full re-Prepare of the mutated edge list, at delta
+// sizes of 0.1%, 1% and 10% of the edges. Both paths end fully warmed
+// (every artifact built), so the speedup compares equal end states.
 //
 // Correctness gate first: on a small random graph, a chain of update
-// batches applied incrementally must enumerate the exact same sorted
+// batches applied through ApplyUpdates must enumerate the exact same sorted
 // solution set as a fresh Prepare of the final edge list, for every
 // backend in the registry, sequentially and with threads=4. Any
 // divergence aborts the benchmark — a fast wrong answer is not a result.
@@ -105,7 +104,7 @@ std::vector<std::string> SortedSolutions(
 }
 
 /// The correctness gate: chains `rounds` random update batches through
-/// ApplyUpdates (always incremental: max_delta_fraction=1) and checks the
+/// ApplyUpdates, warming every epoch, and checks the
 /// final epoch enumerates exactly like a fresh Prepare of the final edge
 /// list — every registered backend, threads 1 and 4. Returns the number
 /// of agreeing (backend, threads) cells.
@@ -115,20 +114,17 @@ size_t AgreementGate(bool smoke, BenchJsonWriter* json) {
   Rng rng(2024);
   BipartiteGraph start = ErdosRenyiBipartite(nl, nr, ne, &rng);
 
-  const PrepareOptions prep;
-  auto incremental = PreparedGraph::Prepare(BipartiteGraph(start), prep);
+  auto incremental = PreparedGraph::Prepare(BipartiteGraph(start));
   incremental->Warmup();
   const int rounds = smoke ? 2 : 4;
-  update::UpdateOptions opts;
-  opts.max_delta_fraction = 1.0;  // stay on the incremental path
   for (int i = 0; i < rounds; ++i) {
     std::vector<Edge> ins, del;
     RandomDelta(incremental->graph(), 3, 3, &rng, &ins, &del);
     update::UpdateBatch batch;
     for (const Edge& e : ins) batch.Insert(e.first, e.second);
     for (const Edge& e : del) batch.Remove(e.first, e.second);
-    update::UpdateResult result = incremental->ApplyUpdates(batch, opts);
-    if (!result.ok() || result.rebuilt) {
+    update::UpdateResult result = incremental->ApplyUpdates(batch);
+    if (!result.ok()) {
       std::fprintf(stderr, "FATAL: incremental apply failed: %s\n",
                    result.error.c_str());
       std::abort();
@@ -138,8 +134,7 @@ size_t AgreementGate(bool smoke, BenchJsonWriter* json) {
   }
 
   auto rebuilt = PreparedGraph::Prepare(
-      BipartiteGraph::FromEdges(nl, nr, AllEdges(incremental->graph())),
-      prep);
+      BipartiteGraph::FromEdges(nl, nr, AllEdges(incremental->graph())));
   rebuilt->Warmup();
 
   size_t cells = 0;
@@ -175,12 +170,11 @@ size_t AgreementGate(bool smoke, BenchJsonWriter* json) {
   return cells;
 }
 
-/// One timed cell: incremental ApplyUpdates vs full re-Prepare at delta
+/// One timed cell: ApplyUpdates + Warmup vs full re-Prepare at delta
 /// fraction `fraction`, both ending fully warmed. Best of `reps`.
 void TimeFraction(const BipartiteGraph& base,
                   const std::shared_ptr<const PreparedGraph>& warmed,
-                  const PrepareOptions& prep, double fraction, int reps,
-                  BenchJsonWriter* json) {
+                  double fraction, int reps, BenchJsonWriter* json) {
   const size_t delta_edges = std::max<size_t>(
       2, static_cast<size_t>(fraction * static_cast<double>(base.NumEdges())));
   Rng rng(7000 + static_cast<uint64_t>(fraction * 100000));
@@ -190,21 +184,18 @@ void TimeFraction(const BipartiteGraph& base,
   update::UpdateBatch batch;
   for (const Edge& e : ins) batch.Insert(e.first, e.second);
   for (const Edge& e : del) batch.Remove(e.first, e.second);
-  update::UpdateOptions opts;
-  opts.max_delta_fraction = 1.0;  // measure the incremental path itself
 
   double inc_seconds = 1e100;
   std::shared_ptr<const PreparedGraph> epoch;
   for (int i = 0; i < reps; ++i) {
     WallTimer t;
-    update::UpdateResult result = warmed->ApplyUpdates(batch, opts);
-    if (!result.ok() || result.rebuilt) {
+    update::UpdateResult result = warmed->ApplyUpdates(batch);
+    if (!result.ok()) {
       std::fprintf(stderr, "FATAL: apply failed: %s\n",
                    result.error.c_str());
       std::abort();
     }
-    result.prepared->Warmup();  // no-op: the apply pre-populates, but be
-                                // honest and charge it to the timed region
+    result.prepared->Warmup();
     inc_seconds = std::min(inc_seconds, t.ElapsedSeconds());
     epoch = result.prepared;
   }
@@ -224,8 +215,7 @@ void TimeFraction(const BipartiteGraph& base,
     edges.insert(edges.end(), ins.begin(), ins.end());
     rebuilt = PreparedGraph::Prepare(
         BipartiteGraph::FromEdges(base.NumLeft(), base.NumRight(),
-                                  std::move(edges)),
-        prep);
+                                  std::move(edges)));
     rebuilt->Warmup();
     full_seconds = std::min(full_seconds, t.ElapsedSeconds());
   }
@@ -277,8 +267,7 @@ int main(int argc, char** argv) {
   const size_t ne = smoke ? 4000 : 1200000;
   Rng rng(99);
   const BipartiteGraph base = ErdosRenyiBipartite(nl, nr, ne, &rng);
-  const PrepareOptions prep;
-  auto warmed = PreparedGraph::Prepare(BipartiteGraph(base), prep);
+  auto warmed = PreparedGraph::Prepare(BipartiteGraph(base));
   warmed->Warmup();
 
   std::printf("\nincremental apply vs full re-Prepare, %zux%zu, %zu edges\n",
@@ -287,7 +276,7 @@ int main(int argc, char** argv) {
               "apply (s)", "full (s)", "speedup");
   const int reps = smoke ? 2 : 3;
   for (double fraction : {0.001, 0.01, 0.10}) {
-    TimeFraction(base, warmed, prep, fraction, reps, &json);
+    TimeFraction(base, warmed, fraction, reps, &json);
   }
 
   if (!json.Write()) return 1;

@@ -64,7 +64,7 @@ RunResult RunOnce(size_t workers, size_t clients, uint64_t requests_per_client,
   options.workers = workers;
   options.queue_capacity = 4 * clients;  // the load is closed-loop; never 429
   serve::Server server(options);
-  server.registry().Add("dense", DenseGraph(48), options.prepare);
+  server.registry().Add("dense", DenseGraph(48));
   std::string err = server.Start();
   if (!err.empty()) {
     std::fprintf(stderr, "bench_serving: %s\n", err.c_str());

@@ -64,29 +64,20 @@ size_t ComputeMaxUniformCore(const BipartiteGraph& g) {
 
 }  // namespace
 
-std::shared_ptr<const PreparedGraph> PreparedGraph::Prepare(
-    BipartiteGraph g, PrepareOptions options) {
-  return std::shared_ptr<const PreparedGraph>(
-      new PreparedGraph(std::move(g), options));
+std::shared_ptr<const PreparedGraph> PreparedGraph::Prepare(BipartiteGraph g) {
+  return std::shared_ptr<const PreparedGraph>(new PreparedGraph(std::move(g)));
 }
 
 std::shared_ptr<const PreparedGraph> PreparedGraph::Borrow(
     const BipartiteGraph& g) {
-  // The shim semantics (pre-session behavior, byte for byte) rule out the
-  // short-circuit; execution matches a direct run on `g`.
-  PrepareOptions options;
-  options.core_bound_shortcut = false;
-  return std::shared_ptr<const PreparedGraph>(new PreparedGraph(&g, options));
+  return std::shared_ptr<const PreparedGraph>(new PreparedGraph(&g));
 }
 
-PreparedGraph::PreparedGraph(BipartiteGraph g, PrepareOptions options)
-    : options_(options),
-      owned_(std::make_unique<BipartiteGraph>(std::move(g))),
+PreparedGraph::PreparedGraph(BipartiteGraph g)
+    : owned_(std::make_unique<BipartiteGraph>(std::move(g))),
       graph_(owned_.get()) {}
 
-PreparedGraph::PreparedGraph(const BipartiteGraph* view,
-                             PrepareOptions options)
-    : options_(options), graph_(view) {}
+PreparedGraph::PreparedGraph(const BipartiteGraph* view) : graph_(view) {}
 
 const ComponentLabeling& PreparedGraph::Components() const {
   std::call_once(components_once_, [this] {
@@ -94,7 +85,6 @@ const ComponentLabeling& PreparedGraph::Components() const {
     components_ = LabelConnectedComponents(*graph_);
     counters_.Count(&PrepareArtifactStats::component_builds,
                     timer.ElapsedSeconds());
-    components_built_.store(true, std::memory_order_release);
   });
   return components_;
 }
@@ -119,7 +109,6 @@ size_t PreparedGraph::MaxUniformCore() const {
     max_uniform_core_ = ComputeMaxUniformCore(*graph_);
     counters_.Count(&PrepareArtifactStats::core_bound_builds,
                     timer.ElapsedSeconds());
-    core_bound_built_.store(true, std::memory_order_release);
   });
   return max_uniform_core_;
 }

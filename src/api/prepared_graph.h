@@ -16,10 +16,14 @@
 // This mirrors the classic prepare/execute split of database engines: the
 // one-shot Enumerate(g, request, sink) facade remains as a thin
 // compatibility shim (prepare + single execute, no artifacts attached).
+//
+// An epoch produced by ApplyUpdates is a new PreparedGraph over the
+// spliced graph whose artifacts start lazy, like those of a fresh
+// Prepare: there is one artifact lifecycle, and no artifact crosses an
+// epoch.
 #ifndef KBIPLEX_API_PREPARED_GRAPH_H_
 #define KBIPLEX_API_PREPARED_GRAPH_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -34,21 +38,8 @@ namespace kbiplex {
 
 namespace update {
 class UpdateBatch;
-struct UpdateOptions;
 struct UpdateResult;
-struct EpochBuilder;
 }  // namespace update
-
-/// How a PreparedGraph answers queries.
-struct PrepareOptions {
-  /// Answer thresholded queries whose result set the cached core bound
-  /// proves empty without running a backend. On by default for prepared
-  /// service graphs; the one-shot compatibility paths (Borrow, the CLI
-  /// enumerate/large commands) turn it off so single-query runs keep the
-  /// pre-session stats output — backend counter blocks included — byte
-  /// for byte and never pay the core-bound build.
-  bool core_bound_shortcut = true;
-};
 
 /// Build counters of the lazily-created artifacts; each counter is the
 /// number of times the corresponding build actually ran, so a correctly
@@ -80,12 +71,10 @@ struct UpdateLineage {
   uint64_t updates_applied = 0;    // successful ApplyUpdates in the chain
   uint64_t edges_inserted = 0;     // cumulative real inserts
   uint64_t edges_deleted = 0;      // cumulative real deletes
-  uint64_t full_rebuilds = 0;      // applies past the staleness threshold
-  /// Artifacts carried across an epoch boundary by patching
-  /// (union-find/dirty-BFS component relabel, carried core bound) vs
-  /// artifacts an apply
-  /// invalidated outright — they rebuild from scratch, eagerly or on
-  /// first use (a full rebuild invalidates every built artifact).
+  // No artifact is carried across an epoch (every epoch builds its own
+  // lazily), so these three are always 0; the fields and their JSON keys
+  // stay for readers of the stats schema.
+  uint64_t full_rebuilds = 0;
   uint64_t artifacts_incremental = 0;
   uint64_t artifacts_rebuilt = 0;
   double apply_seconds = 0;  // total wall time inside ApplyUpdates
@@ -101,10 +90,9 @@ struct UpdateLineage {
 /// view and every accessor is safe to call concurrently.
 class PreparedGraph {
  public:
-  /// Takes ownership of `g` and prepares it under `options`. Artifacts
-  /// are built lazily on first use; call Warmup() to build them eagerly.
-  static std::shared_ptr<const PreparedGraph> Prepare(
-      BipartiteGraph g, PrepareOptions options = {});
+  /// Takes ownership of `g`. Artifacts are built lazily on first use;
+  /// call Warmup() to build them eagerly.
+  static std::shared_ptr<const PreparedGraph> Prepare(BipartiteGraph g);
 
   /// Wraps a caller-owned graph without copying it, so execution matches
   /// a direct run on `g` exactly. `g` must outlive the returned object.
@@ -116,15 +104,15 @@ class PreparedGraph {
   /// The input graph, exactly as handed to Prepare/Borrow.
   const BipartiteGraph& graph() const { return *graph_; }
 
-  const PrepareOptions& options() const { return options_; }
-
   /// The graph queries execute on: the input graph, same as graph().
   const BipartiteGraph& ExecutionGraph() const { return *graph_; }
 
   /// True iff this wraps a caller-owned graph (Borrow). Borrowed graphs
-  /// serve the one-shot compatibility shim, so the facade applies none of
-  /// the session-only execution changes (e.g. the core-bound
-  /// short-circuit) to them.
+  /// serve one-shot runs (the compatibility shim, the CLI
+  /// enumerate/large commands), so sessions apply none of the
+  /// session-only execution changes to them: the core-bound
+  /// short-circuit fires only on owned graphs, and a one-shot run keeps
+  /// its backend counter blocks and never pays the core-bound build.
   bool borrowed() const { return owned_ == nullptr; }
 
   /// Connected-component labeling of the graph (consumed by the
@@ -160,19 +148,14 @@ class PreparedGraph {
   /// Applies an edge-update batch copy-on-write: this instance is left
   /// untouched (sessions borrowing it keep their snapshot), and on
   /// success the result carries a new immutable PreparedGraph at epoch
-  /// N+1 with the same PrepareOptions. The successor's CSR is spliced
-  /// from this one, and artifacts this epoch already built are carried
-  /// into it incrementally — union-find + dirty-component relabeling, a
-  /// monotone core bound — unless the delta exceeds
-  /// options.max_delta_fraction of the edge count, in which case the
-  /// successor is rebuilt from scratch (lazy artifacts, like a fresh
-  /// Prepare). Borrowed graphs reject updates.
+  /// N+1. The successor's CSR is spliced from this one; its artifacts
+  /// are built lazily, like those of a fresh Prepare. Borrowed graphs
+  /// reject updates.
   /// Thread-safe against concurrent queries; concurrent ApplyUpdates
   /// calls on the same instance are safe but produce sibling epochs —
   /// serialize updates per graph (the serving registry does) to keep a
   /// linear chain. Defined with the update subsystem (src/update/).
-  update::UpdateResult ApplyUpdates(const update::UpdateBatch& batch,
-                                    const update::UpdateOptions& options) const;
+  update::UpdateResult ApplyUpdates(const update::UpdateBatch& batch) const;
 
  private:
   /// The artifact build counters behind their own capability, so the
@@ -197,15 +180,9 @@ class PreparedGraph {
     }
   };
 
-  /// The epoch builder constructs successor instances directly (private
-  /// constructor, lineage, pre-populated artifacts); see
-  /// update/incremental.cc.
-  friend struct update::EpochBuilder;
+  explicit PreparedGraph(BipartiteGraph g);
+  explicit PreparedGraph(const BipartiteGraph* view);
 
-  PreparedGraph(BipartiteGraph g, PrepareOptions options);
-  PreparedGraph(const BipartiteGraph* view, PrepareOptions options);
-
-  PrepareOptions options_;
   // Owning mode stores the graph; view mode points at the caller's.
   std::unique_ptr<const BipartiteGraph> owned_;
   const BipartiteGraph* graph_ = nullptr;
@@ -225,17 +202,8 @@ class PreparedGraph {
   mutable std::once_flag core_bound_once_;
   mutable size_t max_uniform_core_ = 0;
 
-  // Built-ness probes for the update machinery: each flag is stored
-  // (release) as the last step of its artifact's call_once lambda and
-  // loaded (acquire) by ApplyUpdates to decide which artifacts the
-  // successor epoch should carry incrementally — without forcing builds
-  // the predecessor never performed. Same publication invariant as the
-  // artifact members above.
-  mutable std::atomic<bool> components_built_{false};
-  mutable std::atomic<bool> core_bound_built_{false};
-
   // Epoch chain history; written only between construction and
-  // publication (EpochBuilder), immutable afterwards.
+  // publication (ApplyUpdates), immutable afterwards.
   UpdateLineage lineage_;
 
   BuildCounters counters_;

@@ -89,15 +89,14 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
   } else if (Cancelled(request.cancellation)) {
     out.completed = false;
     out.cancelled = true;
-  } else if (prepared.options().core_bound_shortcut &&
-             request.backend_options.empty() &&
+  } else if (!prepared.borrowed() && request.backend_options.empty() &&
              CoreBoundProvesEmpty(prepared, request)) {
     // Provably empty result set: answer from the cached core bound without
     // touching a backend. Restricted to option-free requests so a request
     // with a bad backend option is still rejected, exactly like a run —
-    // and to graphs prepared with the shortcut enabled, so the one-shot
-    // compatibility paths keep the pre-session stats (backend counters
-    // and all) byte for byte and never pay the core-bound build.
+    // and to owned graphs, so the one-shot paths (which Borrow) keep the
+    // pre-session stats (backend counters and all) byte for byte and
+    // never pay the core-bound build.
     WallTimer timer;
     if (short_circuited != nullptr) *short_circuited = true;
     out.completed = true;

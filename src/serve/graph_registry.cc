@@ -9,21 +9,19 @@ namespace kbiplex {
 namespace serve {
 
 std::string GraphRegistry::LoadFile(const std::string& name,
-                                    const std::string& path,
-                                    const PrepareOptions& options) {
+                                    const std::string& path) {
   LoadResult r = LoadEdgeList(path);
   if (!r.ok()) return r.error;
   RegisteredGraph entry;
-  entry.prepared = PreparedGraph::Prepare(std::move(*r.graph), options);
+  entry.prepared = PreparedGraph::Prepare(std::move(*r.graph));
   entry.path = path;
   Put(name, std::move(entry));
   return "";
 }
 
-void GraphRegistry::Add(const std::string& name, BipartiteGraph graph,
-                        const PrepareOptions& options) {
+void GraphRegistry::Add(const std::string& name, BipartiteGraph graph) {
   RegisteredGraph entry;
-  entry.prepared = PreparedGraph::Prepare(std::move(graph), options);
+  entry.prepared = PreparedGraph::Prepare(std::move(graph));
   Put(name, std::move(entry));
 }
 
@@ -70,8 +68,7 @@ size_t GraphRegistry::PendingRetiredEpochs(const std::string& name) const {
 }
 
 UpdateApplyOutcome GraphRegistry::ApplyUpdates(
-    const std::string& name, const update::UpdateBatch& batch,
-    const update::UpdateOptions& options) {
+    const std::string& name, const update::UpdateBatch& batch) {
   UpdateApplyOutcome out;
   // Step 1: resolve (or create) the per-graph update lock. The brief
   // writer section only touches the lock map; the apply never runs here.
@@ -110,7 +107,7 @@ UpdateApplyOutcome GraphRegistry::ApplyUpdates(
 
   // Step 3: the actual copy-on-write apply, outside every registry lock —
   // queries keep resolving and other graphs keep updating meanwhile.
-  out.result = prev->ApplyUpdates(batch, options);
+  out.result = prev->ApplyUpdates(batch);
   if (!out.result.ok()) {
     out.error_code = 400;
     out.error = out.result.error;

@@ -62,12 +62,11 @@ class GraphRegistry {
   /// Returns the error message, empty on success. The load and prepare
   /// run outside the lock: concurrent queries are never blocked behind
   /// file I/O.
-  std::string LoadFile(const std::string& name, const std::string& path,
-                       const PrepareOptions& options) KBIPLEX_EXCLUDES(mu_);
+  std::string LoadFile(const std::string& name, const std::string& path)
+      KBIPLEX_EXCLUDES(mu_);
 
   /// Registers an already-built graph (daemon preload, tests).
-  void Add(const std::string& name, BipartiteGraph graph,
-           const PrepareOptions& options) KBIPLEX_EXCLUDES(mu_);
+  void Add(const std::string& name, BipartiteGraph graph) KBIPLEX_EXCLUDES(mu_);
 
   /// Removes `name`; returns false when it was not registered. In-flight
   /// queries holding the shared_ptr keep running to completion.
@@ -81,8 +80,7 @@ class GraphRegistry {
   /// publish), the new epoch is discarded and the outcome is a 409 —
   /// the caller retries against the current state.
   UpdateApplyOutcome ApplyUpdates(const std::string& name,
-                                  const update::UpdateBatch& batch,
-                                  const update::UpdateOptions& options)
+                                  const update::UpdateBatch& batch)
       KBIPLEX_EXCLUDES(mu_);
 
   /// Retired epochs of `name` (replaced by update/load or evicted) still

@@ -323,8 +323,7 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
     return;
   }
   if (cmd.op == "load") {
-    const std::string load_err =
-        registry_.LoadFile(cmd.graph, cmd.path, options_.prepare);
+    const std::string load_err = registry_.LoadFile(cmd.graph, cmd.path);
     if (!load_err.empty()) {
       conn->WriteLine(ErrorLine(cmd.id, kBadRequest, load_err));
       return;
@@ -346,16 +345,10 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
     update::UpdateBatch batch;
     for (const auto& [l, r] : cmd.insert_edges) batch.Insert(l, r);
     for (const auto& [l, r] : cmd.erase_edges) batch.Remove(l, r);
-    update::UpdateOptions opts;
-    if (cmd.max_delta_fraction >= 0) {
-      opts.max_delta_fraction = cmd.max_delta_fraction;
-    }
-    opts.force_rebuild = cmd.force_rebuild;
     // The apply itself runs on the connection thread, outside the
     // registry lock — concurrent queries keep their snapshot and are
     // never blocked; updates to the same graph serialize in the registry.
-    const UpdateApplyOutcome outcome =
-        registry_.ApplyUpdates(cmd.graph, batch, opts);
+    const UpdateApplyOutcome outcome = registry_.ApplyUpdates(cmd.graph, batch);
     if (!outcome.ok()) {
       conn->WriteLine(ErrorLine(cmd.id, outcome.error_code, outcome.error));
       return;
@@ -370,7 +363,9 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
          << ",\"deleted\":" << r.edges_deleted
          << ",\"noop_inserts\":" << r.noop_inserts
          << ",\"noop_deletes\":" << r.noop_deletes
-         << ",\"rebuilt\":" << json::Bool(r.rebuilt) << ",\"seconds\":";
+         // Every epoch builds its artifacts lazily; the key stays for
+         // readers of the reply schema.
+         << ",\"rebuilt\":false,\"seconds\":";
     json::AppendDouble(body, r.seconds);
     conn->WriteLine(ResponseLine(cmd.id, "updated", body.str()));
     return;

@@ -49,9 +49,6 @@ struct ServerOptions {
   size_t workers = 4;
   size_t queue_capacity = 64;  // bounded admission queue (429 beyond)
   double drain_grace_seconds = 5.0;
-  /// Artifact policy applied to graphs loaded over the wire or through
-  /// registry() preloads that go via LoadFile.
-  PrepareOptions prepare;
 };
 
 class Server {

@@ -37,12 +37,12 @@ std::string SerializeId(const json::JsonValue* v) {
   return "null";  // containers make no sense as an id; normalize away
 }
 
-/// `load` takes no options; an "options" object is still parsed so that
-/// every key in it is rejected by name.
-std::string ParseLoadOptions(const json::JsonValue& v) {
+/// `load` and `update` take no options; an "options" object is still
+/// parsed so that every key in it is rejected by name.
+std::string ParseNoOptions(const std::string& op, const json::JsonValue& v) {
   if (!v.is_object()) return "'options' must be an object";
   if (!v.AsObject().empty()) {
-    return "unknown load option '" + v.AsObject().front().first + "'";
+    return "unknown " + op + " option '" + v.AsObject().front().first + "'";
   }
   return "";
 }
@@ -65,27 +65,6 @@ std::string ParseEdgeArray(const json::JsonValue& v, const std::string& key,
       ids[i] = static_cast<uint32_t>(n.AsNumber());
     }
     out->emplace_back(ids[0], ids[1]);
-  }
-  return "";
-}
-
-std::string ParseUpdateOptions(const json::JsonValue& v, WireCommand* cmd) {
-  if (!v.is_object()) return "'options' must be an object";
-  for (const auto& [key, value] : v.AsObject()) {
-    if (key == "max_delta_fraction") {
-      if (!value.is_number() || value.AsNumber() < 0) {
-        return "update option 'max_delta_fraction' must be a non-negative "
-               "number";
-      }
-      cmd->max_delta_fraction = value.AsNumber();
-    } else if (key == "force_rebuild") {
-      if (!value.is_bool()) {
-        return "update option 'force_rebuild' must be a bool";
-      }
-      cmd->force_rebuild = value.AsBool();
-    } else {
-      return "unknown update option '" + key + "'";
-    }
   }
   return "";
 }
@@ -160,7 +139,7 @@ std::string ParseCommand(const std::string& line, WireCommand* cmd) {
         continue;
       }
       if (key == "options") {
-        if (std::string err = ParseLoadOptions(value); !err.empty()) {
+        if (std::string err = ParseNoOptions(cmd->op, value); !err.empty()) {
           return err;
         }
         continue;
@@ -192,7 +171,7 @@ std::string ParseCommand(const std::string& line, WireCommand* cmd) {
         continue;
       }
       if (key == "options") {
-        if (std::string err = ParseUpdateOptions(value, cmd); !err.empty()) {
+        if (std::string err = ParseNoOptions(cmd->op, value); !err.empty()) {
           return err;
         }
         continue;

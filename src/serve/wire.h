@@ -9,8 +9,7 @@
 //   {"op":"load","id":ID,"name":NAME,"path":PATH}
 //   {"op":"evict","id":ID,"name":NAME}
 //   {"op":"update","id":ID,"name":NAME,"insert":[[L,R],...],
-//    "delete":[[L,R],...],
-//    "options":{"max_delta_fraction":F,"force_rebuild":BOOL}}
+//    "delete":[[L,R],...]}
 //   {"op":"list","id":ID}   {"op":"stats","id":ID}
 //   {"op":"ping","id":ID}   {"op":"drain","id":ID}
 //
@@ -60,8 +59,6 @@ struct WireCommand {
   // normalizer sorts/dedups them).
   std::vector<std::pair<uint32_t, uint32_t>> insert_edges;
   std::vector<std::pair<uint32_t, uint32_t>> erase_edges;
-  double max_delta_fraction = -1;  // update option: < 0 = server default
-  bool force_rebuild = false;      // update option: skip artifact patching
 };
 
 /// Parses one command line. Returns the error message (empty on

@@ -75,7 +75,7 @@ TEST(ConcurrencyStress, ServerSurvivesQueryEvictStatsCrossfire) {
   options.workers = 4;
   options.queue_capacity = 8;
   Server server(options);
-  server.registry().Add("dense", DenseGraph(), options.prepare);
+  server.registry().Add("dense", DenseGraph());
   ASSERT_EQ(server.Start(), "");
 
   constexpr int kQueryClients = 4;
@@ -182,7 +182,7 @@ TEST(ConcurrencyStress, UpdatersRaceQueriesAndEvictions) {
   options.workers = 4;
   options.queue_capacity = 8;
   Server server(options);
-  server.registry().Add("dense", DenseGraph(), options.prepare);
+  server.registry().Add("dense", DenseGraph());
   ASSERT_EQ(server.Start(), "");
 
   constexpr int kQueryClients = 3;
@@ -232,7 +232,7 @@ TEST(ConcurrencyStress, UpdatersRaceQueriesAndEvictions) {
           std::string("{\"op\":\"update\",\"id\":\"upd\",\"name\":"
                       "\"dense\",") +
           (odd ? "\"insert\"" : "\"delete\"") +
-          ":[[0,23],[1,22]],\"options\":{\"max_delta_fraction\":1.0}}";
+          ":[[0,23],[1,22]]}";
       const std::string type = RoundTripType(&client, line);
       if (type == "updated") {
         ++updated_responses;
@@ -309,7 +309,7 @@ TEST(ConcurrencyStress, UpdatersRaceQueriesAndEvictions) {
 
 TEST(ConcurrencyStress, RetiredEpochStaysAliveWhileBorrowed) {
   GraphRegistry registry;
-  registry.Add("g", DenseGraph(), PrepareOptions());
+  registry.Add("g", DenseGraph());
 
   // Borrow the current epoch the way an in-flight query would.
   std::shared_ptr<const PreparedGraph> borrowed =
@@ -319,8 +319,7 @@ TEST(ConcurrencyStress, RetiredEpochStaysAliveWhileBorrowed) {
   update::UpdateBatch batch;
   batch.Remove(0, 23);
   batch.Insert(0, 23);  // noop round-trip keeps the edge set stable
-  const UpdateApplyOutcome outcome =
-      registry.ApplyUpdates("g", batch, update::UpdateOptions());
+  const UpdateApplyOutcome outcome = registry.ApplyUpdates("g", batch);
   ASSERT_TRUE(outcome.ok()) << outcome.error;
 
   // The replaced epoch is retired but pinned by the borrower...

@@ -114,8 +114,7 @@ TEST(ServeTest, ConcurrentClientsAgreeWithDirectSessionsAndStatsAddUp) {
   ServerOptions options;
   options.workers = 4;
   Server server(options);
-  ASSERT_EQ(server.registry().LoadFile("toy", kToyGraphPath, options.prepare),
-            "");
+  ASSERT_EQ(server.registry().LoadFile("toy", kToyGraphPath), "");
   ASSERT_EQ(server.Start(), "");
 
   // The reference answers: the same requests through a direct
@@ -124,8 +123,7 @@ TEST(ServeTest, ConcurrentClientsAgreeWithDirectSessionsAndStatsAddUp) {
   ASSERT_FALSE(query_lines.empty());
   LoadResult loaded = LoadEdgeList(kToyGraphPath);
   ASSERT_TRUE(loaded.ok());
-  auto prepared =
-      PreparedGraph::Prepare(std::move(*loaded.graph), options.prepare);
+  auto prepared = PreparedGraph::Prepare(std::move(*loaded.graph));
   QuerySession reference(prepared);
   std::vector<std::vector<Biplex>> expected_solutions;
   std::vector<EnumerateStats> expected_stats;
@@ -208,7 +206,7 @@ TEST(ServeTest, DeadlineExpiredInQueueIsRejectedWith504) {
   ServerOptions options;
   options.workers = 1;
   Server server(options);
-  server.registry().Add("dense", DenseGraph(), options.prepare);
+  server.registry().Add("dense", DenseGraph());
   ASSERT_EQ(server.Start(), "");
 
   LineClient blocker;
@@ -240,7 +238,7 @@ TEST(ServeTest, DeadlineMidRunCancelsTheEnumeration) {
   ServerOptions options;
   options.workers = 1;
   Server server(options);
-  server.registry().Add("dense", DenseGraph(), options.prepare);
+  server.registry().Add("dense", DenseGraph());
   ASSERT_EQ(server.Start(), "");
 
   // No budget: only the 50ms deadline (via the reaper's cancellation)
@@ -270,7 +268,7 @@ TEST(ServeTest, OverloadedQueueRejectsWith429) {
   options.workers = 1;
   options.queue_capacity = 1;
   Server server(options);
-  server.registry().Add("dense", DenseGraph(), options.prepare);
+  server.registry().Add("dense", DenseGraph());
   ASSERT_EQ(server.Start(), "");
 
   LineClient blocker;
@@ -309,7 +307,7 @@ TEST(ServeTest, GracefulDrainFinishesInFlightAndRejectsNew) {
   ServerOptions options;
   options.workers = 2;
   Server server(options);
-  server.registry().Add("dense", DenseGraph(), options.prepare);
+  server.registry().Add("dense", DenseGraph());
   ASSERT_EQ(server.Start(), "");
 
   LineClient running;
@@ -488,8 +486,7 @@ TEST(ServeTest, UpdateOpRoundTripsAndStatsSchemaIsAdditive) {
   // A real update: one insert, one delete, one noop insert.
   r = RoundTrip(&client,
                 "{\"op\":\"update\",\"id\":6,\"name\":\"toy\","
-                "\"insert\":[[0,3],[0,0]],\"delete\":[[0,1]],"
-                "\"options\":{\"max_delta_fraction\":1.0}}");
+                "\"insert\":[[0,3],[0,0]],\"delete\":[[0,1]]}");
   ASSERT_EQ(r[0].type, "updated");
   EXPECT_EQ(KeysOf(r[0].value),
             (std::set<std::string>{"type", "id", "graph", "generation",
@@ -500,6 +497,7 @@ TEST(ServeTest, UpdateOpRoundTripsAndStatsSchemaIsAdditive) {
   EXPECT_EQ(NumberField(r[0].value, "inserted"), 1);
   EXPECT_EQ(NumberField(r[0].value, "deleted"), 1);
   EXPECT_EQ(NumberField(r[0].value, "noop_inserts"), 1);
+  EXPECT_FALSE(r[0].value.Find("rebuilt")->AsBool());
 
   // Queries after the update run against the new epoch and agree with a
   // direct session over the same mutated graph.
@@ -520,8 +518,7 @@ TEST(ServeTest, UpdateOpRoundTripsAndStatsSchemaIsAdditive) {
   edges.push_back({0, 3});
   BipartiteGraph mutated = BipartiteGraph::FromEdges(
       loaded.graph->NumLeft(), loaded.graph->NumRight(), std::move(edges));
-  QuerySession direct(
-      PreparedGraph::Prepare(std::move(mutated), ServerOptions().prepare));
+  QuerySession direct(PreparedGraph::Prepare(std::move(mutated)));
   EnumerateRequest request;
   request.algorithm = "itraversal";
   EXPECT_EQ(served_count, static_cast<double>(direct.Count(request)));
@@ -547,6 +544,39 @@ TEST(ServeTest, UpdateOpRoundTripsAndStatsSchemaIsAdditive) {
                                    "full_rebuilds", "artifacts_incremental",
                                    "artifacts_rebuilt", "apply_seconds"}));
   EXPECT_EQ(NumberField(*updates, "updates_applied"), 1);
+  EXPECT_EQ(NumberField(*updates, "full_rebuilds"), 0);
+  EXPECT_EQ(NumberField(*updates, "artifacts_incremental"), 0);
+  EXPECT_EQ(NumberField(*updates, "artifacts_rebuilt"), 0);
+
+  server.RequestDrain();
+  server.Wait();
+}
+
+TEST(ServeTest, UpdateTakesNoOptions) {
+  ServerOptions options;
+  Server server(options);
+  ASSERT_EQ(server.registry().LoadFile("toy", kToyGraphPath), "");
+  ASSERT_EQ(server.Start(), "");
+  LineClient client;
+  ASSERT_EQ(client.Connect("127.0.0.1", server.port()), "");
+  const std::string update_prefix =
+      "{\"op\":\"update\",\"id\":1,\"name\":\"toy\",\"insert\":[[0,3]]";
+
+  // The removed staleness-threshold knobs are unknown update options: the
+  // update answers 400 and applies nothing.
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"max_delta_fraction", "1.0"}, {"force_rebuild", "true"}}) {
+    std::vector<Response> r = RoundTrip(
+        &client,
+        update_prefix + ",\"options\":{\"" + key + "\":" + value + "}}");
+    ASSERT_EQ(r[0].type, "error") << key;
+    EXPECT_EQ(NumberField(r[0].value, "code"), 400) << key;
+    const json::JsonValue* message = r[0].value.Find("message");
+    ASSERT_NE(message, nullptr);
+    EXPECT_EQ(message->AsString(), "unknown update option '" + key + "'");
+    EXPECT_EQ(server.registry().Get("toy")->prepared->epoch(), 0u) << key;
+  }
 
   server.RequestDrain();
   server.Wait();

@@ -178,16 +178,14 @@ TEST(PreparedGraphTest, MaxUniformCoreMatchesCorePeelingDefinition) {
       BipartiteGraph g = MakeRandomGraph({9, 7, p, seed});
       size_t expect = 0;
       while (!AlphaBetaCore(g, expect + 1, expect + 1).Empty()) ++expect;
-      auto prepared = PreparedGraph::Prepare(std::move(g), {});
+      auto prepared = PreparedGraph::Prepare(std::move(g));
       EXPECT_EQ(prepared->MaxUniformCore(), expect)
           << "seed=" << seed << " p=" << p;
     }
   }
   // Edgeless and empty graphs report 0.
-  EXPECT_EQ(PreparedGraph::Prepare(MakeGraph(3, 3, {}), {})->MaxUniformCore(),
-            0u);
-  EXPECT_EQ(PreparedGraph::Prepare(BipartiteGraph(), {})->MaxUniformCore(),
-            0u);
+  EXPECT_EQ(PreparedGraph::Prepare(MakeGraph(3, 3, {}))->MaxUniformCore(), 0u);
+  EXPECT_EQ(PreparedGraph::Prepare(BipartiteGraph())->MaxUniformCore(), 0u);
 }
 
 // ---------------------------------------------------------- seed parity --
@@ -224,7 +222,7 @@ TEST(QuerySessionTest, PreparedSessionMatchesSeedForAllAlgorithms) {
 
 TEST(QuerySessionTest, InterleavedQueriesReuseScratchCorrectly) {
   BipartiteGraph g = MakeRandomGraph({8, 7, 0.45, 9});
-  auto prepared = PreparedGraph::Prepare(BipartiteGraph(g), {});
+  auto prepared = PreparedGraph::Prepare(BipartiteGraph(g));
   QuerySession session(prepared);
   Enumerator fresh(g);
 
@@ -295,7 +293,7 @@ TEST(QuerySessionTest, CoreBoundAnswersImpossibleThresholdsInstantly) {
       FilterBySize(BruteForceMaximalBiplexes(g, KPair::Uniform(1)), 5, 5);
   ASSERT_TRUE(expect.empty());
 
-  auto prepared = PreparedGraph::Prepare(BipartiteGraph(g), {});
+  auto prepared = PreparedGraph::Prepare(BipartiteGraph(g));
   QuerySession session(prepared);
   EnumerateRequest req;
   req.algorithm = "itraversal";
@@ -315,11 +313,9 @@ TEST(QuerySessionTest, CoreBoundAnswersImpossibleThresholdsInstantly) {
   EXPECT_EQ(session.short_circuits(), 1u);
   req.backend_options.clear();
 
-  // Preparing with the shortcut disabled (the one-shot CLI policy) runs
-  // the backend: same empty answer, but with the backend's counter block.
-  PrepareOptions one_shot;
-  one_shot.core_bound_shortcut = false;
-  QuerySession compat(PreparedGraph::Prepare(BipartiteGraph(g), one_shot));
+  // A borrowed graph (the one-shot CLI path) runs the backend: same empty
+  // answer, but with the backend's counter block.
+  QuerySession compat(PreparedGraph::Borrow(g));
   req.algorithm = "large-mbp";
   EXPECT_EQ(compat.Count(req, &stats), 0u);
   EXPECT_TRUE(stats.ok());
@@ -332,7 +328,7 @@ TEST(QuerySessionTest, CoreBoundShortCircuitAgreesWithFullRuns) {
   // shortcut must never fire on a query with a non-empty answer.
   for (uint64_t seed : {21u, 22u}) {
     BipartiteGraph g = MakeRandomGraph({7, 7, 0.4, seed});
-    auto prepared = PreparedGraph::Prepare(BipartiteGraph(g), {});
+    auto prepared = PreparedGraph::Prepare(BipartiteGraph(g));
     QuerySession session(prepared);
     for (size_t theta = 1; theta <= 6; ++theta) {
       std::vector<Biplex> expect = FilterBySize(
@@ -389,7 +385,7 @@ TEST(EnumerateShim, JsonStatsSchemaUnchanged) {
   EXPECT_EQ(TopLevelJsonKeys(shim.ToJson()), expect);
 
   // And a session run over the same request emits the same schema.
-  auto prepared = PreparedGraph::Prepare(BipartiteGraph(g), {});
+  auto prepared = PreparedGraph::Prepare(BipartiteGraph(g));
   QuerySession session(prepared);
   CountingSink sink2;
   EnumerateStats through_session = session.Run(req, &sink2);

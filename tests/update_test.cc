@@ -1,9 +1,8 @@
 // Tests of the incremental update subsystem: batch normalization, the CSR
-// splice, the incremental component relabeling, the patched adjacency
-// index, epoch/snapshot semantics on PreparedGraph, and the end-to-end
-// guarantee that a chain of incremental epochs enumerates exactly like a
-// fresh Prepare of the final graph — every backend, sequential and
-// parallel, under budgeted mixed-representation indexes.
+// splice, epoch/snapshot semantics on PreparedGraph, the exact core bound
+// of an updated epoch, and the end-to-end guarantee that a chain of
+// updated epochs enumerates exactly like a fresh Prepare of the final
+// graph — every backend, sequential and parallel.
 #include <algorithm>
 #include <memory>
 #include <set>
@@ -12,7 +11,6 @@
 
 #include "api/prepared_graph.h"
 #include "api/query_session.h"
-#include "graph/components.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "test_support.h"
@@ -132,49 +130,6 @@ TEST(WithEdgeDeltaTest, MatchesFromEdgesOnRandomDeltas) {
   }
 }
 
-// ---------------------------------------------------------- relabeling ----
-
-ComponentLabeling FreshLabels(const BipartiteGraph& g) {
-  return LabelConnectedComponents(g);
-}
-
-TEST(IncrementalRelabelTest, MatchesFullRelabelOnRandomDeltas) {
-  // Sparse graphs (p=0.08) have many components, so deltas exercise
-  // merges, splits, and singleton churn; the labeling must match the
-  // from-scratch BFS exactly, numbering included.
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed);
-    const BipartiteGraph g = ErdosRenyiProbBipartite(12, 10, 0.08, &rng);
-    const ComponentLabeling old = FreshLabels(g);
-    std::vector<Edge> ins, del;
-    RandomBatch(g, 3, &rng, &ins, &del);
-    std::sort(ins.begin(), ins.end());
-    std::sort(del.begin(), del.end());
-    const BipartiteGraph next = g.WithEdgeDelta(ins, del);
-    const ComponentLabeling got =
-        update::IncrementalRelabel(next, old, ins, del);
-    const ComponentLabeling want = FreshLabels(next);
-    EXPECT_EQ(got.num_components, want.num_components) << "seed " << seed;
-    EXPECT_EQ(got.left, want.left) << "seed " << seed;
-    EXPECT_EQ(got.right, want.right) << "seed " << seed;
-  }
-}
-
-TEST(IncrementalRelabelTest, SplitsAComponent) {
-  // A path l0-r0-l1-r1: deleting the middle edge splits one component
-  // into two.
-  const BipartiteGraph g = MakeGraph(2, 2, {{0, 0}, {1, 0}, {1, 1}});
-  const ComponentLabeling old = FreshLabels(g);
-  ASSERT_EQ(old.num_components, 1);
-  const std::vector<Edge> del = {{1, 0}};
-  const BipartiteGraph next = g.WithEdgeDelta({}, del);
-  const ComponentLabeling got = update::IncrementalRelabel(next, old, {}, del);
-  const ComponentLabeling want = FreshLabels(next);
-  EXPECT_EQ(got.num_components, 2);
-  EXPECT_EQ(got.left, want.left);
-  EXPECT_EQ(got.right, want.right);
-}
-
 // ---------------------------------------------------- epoch semantics ----
 
 EnumerateRequest BasicRequest(int threads = 1) {
@@ -187,14 +142,13 @@ EnumerateRequest BasicRequest(int threads = 1) {
 
 TEST(ApplyUpdatesTest, OldEpochKeepsItsSnapshot) {
   auto v0 = PreparedGraph::Prepare(
-      MakeGraph(2, 2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}}), PrepareOptions());
+      MakeGraph(2, 2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}}));
   QuerySession old_session(v0);
   const std::vector<Biplex> before = old_session.Collect(BasicRequest());
 
   update::UpdateBatch batch;
   batch.Remove(1, 1);
-  const update::UpdateResult result =
-      v0->ApplyUpdates(batch, update::UpdateOptions());
+  const update::UpdateResult result = v0->ApplyUpdates(batch);
   ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_EQ(result.prepared->epoch(), 1u);
   EXPECT_EQ(v0->epoch(), 0u);
@@ -206,7 +160,7 @@ TEST(ApplyUpdatesTest, OldEpochKeepsItsSnapshot) {
   EXPECT_EQ(old_session.Collect(BasicRequest()), before);
   QuerySession new_session(result.prepared);
   QuerySession fresh(PreparedGraph::Prepare(
-      MakeGraph(2, 2, {{0, 0}, {0, 1}, {1, 0}}), PrepareOptions()));
+      MakeGraph(2, 2, {{0, 0}, {0, 1}, {1, 0}})));
   EXPECT_EQ(new_session.Collect(BasicRequest()),
             fresh.Collect(BasicRequest()));
 }
@@ -216,57 +170,70 @@ TEST(ApplyUpdatesTest, RefusesBorrowedGraphs) {
   auto borrowed = PreparedGraph::Borrow(g);
   update::UpdateBatch batch;
   batch.Insert(1, 1);
-  const update::UpdateResult result =
-      borrowed->ApplyUpdates(batch, update::UpdateOptions());
+  const update::UpdateResult result = borrowed->ApplyUpdates(batch);
   EXPECT_FALSE(result.ok());
 }
 
-TEST(ApplyUpdatesTest, StalenessThresholdTriggersRebuild) {
-  auto v0 = PreparedGraph::Prepare(
-      MakeGraph(4, 4, {{0, 0}, {1, 1}, {2, 2}, {3, 3}}), PrepareOptions());
+TEST(ApplyUpdatesTest, UpdatedEpochCoreBoundIsExact) {
+  // A 12x12 perfect matching has degeneracy 1, and so does the matching
+  // plus (0,1): the graph stays a forest. The insert is a small share of
+  // the edges and the predecessor is warmed, so an epoch that carried
+  // its bound forward (old + inserts) would read 2.
+  std::vector<Edge> matching;
+  for (VertexId v = 0; v < 12; ++v) matching.emplace_back(v, v);
+  auto v0 = PreparedGraph::Prepare(MakeGraph(12, 12, std::move(matching)));
   v0->Warmup();
+  ASSERT_EQ(v0->MaxUniformCore(), 1u);
 
-  update::UpdateBatch small;
-  small.Insert(0, 1);
-  update::UpdateOptions opts;
-  opts.max_delta_fraction = 0.5;  // 1/4 <= 0.5: incremental
-  update::UpdateResult r1 = v0->ApplyUpdates(small, opts);
-  ASSERT_TRUE(r1.ok()) << r1.error;
-  EXPECT_FALSE(r1.rebuilt);
-  EXPECT_EQ(r1.prepared->lineage().full_rebuilds, 0u);
-  EXPECT_GT(r1.prepared->lineage().artifacts_incremental, 0u);
+  update::UpdateBatch batch;
+  batch.Insert(0, 1);
+  const update::UpdateResult result = v0->ApplyUpdates(batch);
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.prepared->MaxUniformCore(), 1u);
 
-  update::UpdateBatch large;  // 3/5 > 0.5: full rebuild
-  large.Insert(1, 0);
-  large.Insert(2, 0);
-  large.Insert(3, 0);
-  r1.prepared->Warmup();
-  update::UpdateResult r2 = r1.prepared->ApplyUpdates(large, opts);
-  ASSERT_TRUE(r2.ok()) << r2.error;
-  EXPECT_TRUE(r2.rebuilt);
-  EXPECT_EQ(r2.prepared->lineage().full_rebuilds, 1u);
-  EXPECT_EQ(r2.prepared->lineage().epoch, 2u);
-  EXPECT_EQ(r2.prepared->lineage().updates_applied, 2u);
+  // k=1 with theta 3/3 demands a (2,2)-core, which the exact bound rules
+  // out: the session answers without running the backend.
+  QuerySession session(result.prepared);
+  EnumerateRequest req;
+  req.algorithm = "itraversal";
+  req.k = KPair::Uniform(1);
+  req.theta_left = req.theta_right = 3;
+  EnumerateStats stats;
+  EXPECT_TRUE(session.Collect(req, &stats).empty());
+  ASSERT_TRUE(stats.ok()) << stats.error;
+  EXPECT_EQ(session.short_circuits(), 1u);
+}
 
-  update::UpdateOptions force;
-  force.force_rebuild = true;
-  update::UpdateBatch tiny;
-  tiny.Remove(0, 0);
-  update::UpdateResult r3 = r2.prepared->ApplyUpdates(tiny, force);
-  ASSERT_TRUE(r3.ok()) << r3.error;
-  EXPECT_TRUE(r3.rebuilt);
-  EXPECT_EQ(r3.prepared->lineage().full_rebuilds, 2u);
-  EXPECT_EQ(r3.prepared->lineage().edges_inserted, 4u);
-  EXPECT_EQ(r3.prepared->lineage().edges_deleted, 1u);
+TEST(ApplyUpdatesTest, LineageAccumulatesOverAChain) {
+  Rng rng(77);
+  BipartiteGraph start = ErdosRenyiProbBipartite(8, 8, 0.35, &rng);
+  auto current = PreparedGraph::Prepare(std::move(start));
+  current->Warmup();
+  uint64_t inserted = 0, deleted = 0;
+  for (int round = 0; round < 2; ++round) {
+    const update::UpdateBatch batch = RandomBatch(current->graph(), 2, &rng);
+    update::UpdateResult result = current->ApplyUpdates(batch);
+    ASSERT_TRUE(result.ok()) << result.error;
+    inserted += result.edges_inserted;
+    deleted += result.edges_deleted;
+    current = result.prepared;
+  }
+  const UpdateLineage& lineage = current->lineage();
+  EXPECT_EQ(lineage.epoch, 2u);
+  EXPECT_EQ(lineage.updates_applied, 2u);
+  EXPECT_EQ(lineage.edges_inserted, inserted);
+  EXPECT_EQ(lineage.edges_deleted, deleted);
+  // No epoch carries an artifact, so the schema's artifact counters stay 0.
+  EXPECT_EQ(lineage.full_rebuilds, 0u);
+  EXPECT_EQ(lineage.artifacts_incremental, 0u);
+  EXPECT_EQ(lineage.artifacts_rebuilt, 0u);
 }
 
 TEST(ApplyUpdatesTest, EmptyBatchStillAdvancesTheEpoch) {
-  auto v0 = PreparedGraph::Prepare(MakeGraph(2, 2, {{0, 0}}),
-                                   PrepareOptions());
+  auto v0 = PreparedGraph::Prepare(MakeGraph(2, 2, {{0, 0}}));
   update::UpdateBatch batch;
   batch.Insert(0, 0);  // noop
-  const update::UpdateResult result =
-      v0->ApplyUpdates(batch, update::UpdateOptions());
+  const update::UpdateResult result = v0->ApplyUpdates(batch);
   ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_EQ(result.noop_inserts, 1u);
   EXPECT_EQ(result.edges_inserted, 0u);
@@ -276,33 +243,27 @@ TEST(ApplyUpdatesTest, EmptyBatchStillAdvancesTheEpoch) {
 
 // ------------------------------------------- update-vs-rebuild fuzzing ----
 
-/// The full acceptance sweep: chains of random batches applied
-/// incrementally (spliced CSR, relabeled components, carried core bound)
-/// must enumerate exactly like a fresh Prepare of the final graph, for
-/// every backend, sequentially and with threads=4.
+/// The full acceptance sweep: chains of random batches applied to warmed
+/// epochs (spliced CSR, lazily rebuilt artifacts) must enumerate exactly
+/// like a fresh Prepare of the final graph, for every backend,
+/// sequentially and with threads=4.
 TEST(UpdateVsRebuildFuzzTest, AllBackendsAgreeAfterUpdateChains) {
-  const PrepareOptions prep;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed * 131);
     const BipartiteGraph start = ErdosRenyiProbBipartite(10, 9, 0.3, &rng);
-    auto incremental =
-        PreparedGraph::Prepare(BipartiteGraph(start), prep);
+    auto incremental = PreparedGraph::Prepare(BipartiteGraph(start));
     incremental->Warmup();
-    update::UpdateOptions opts;
-    opts.max_delta_fraction = 1.0;  // always take the incremental path
     for (int round = 0; round < 3; ++round) {
       const update::UpdateBatch batch =
           RandomBatch(incremental->graph(), 3, &rng);
-      update::UpdateResult result = incremental->ApplyUpdates(batch, opts);
+      update::UpdateResult result = incremental->ApplyUpdates(batch);
       ASSERT_TRUE(result.ok()) << result.error;
-      ASSERT_FALSE(result.rebuilt);
       incremental = result.prepared;
       incremental->Warmup();
     }
     auto rebuilt = PreparedGraph::Prepare(
         BipartiteGraph::FromEdges(start.NumLeft(), start.NumRight(),
-                                  AllEdges(incremental->graph())),
-        prep);
+                                  AllEdges(incremental->graph())));
 
     for (const AlgorithmInfo& info : AlgorithmRegistry::Global().List()) {
       for (int threads : {1, 4}) {
@@ -322,33 +283,6 @@ TEST(UpdateVsRebuildFuzzTest, AllBackendsAgreeAfterUpdateChains) {
       }
     }
   }
-}
-
-/// Same sweep across the rebuild path: forcing a rebuild must (trivially)
-/// agree too, and the lineage must record the rebuilds.
-TEST(UpdateVsRebuildFuzzTest, ForcedRebuildAgrees) {
-  Rng rng(77);
-  const BipartiteGraph start = ErdosRenyiProbBipartite(8, 8, 0.35, &rng);
-  auto current = PreparedGraph::Prepare(BipartiteGraph(start),
-                                        PrepareOptions());
-  current->Warmup();
-  update::UpdateOptions force;
-  force.force_rebuild = true;
-  for (int round = 0; round < 2; ++round) {
-    const update::UpdateBatch batch = RandomBatch(current->graph(), 2, &rng);
-    update::UpdateResult result = current->ApplyUpdates(batch, force);
-    ASSERT_TRUE(result.ok()) << result.error;
-    ASSERT_TRUE(result.rebuilt);
-    current = result.prepared;
-  }
-  EXPECT_EQ(current->lineage().full_rebuilds, 2u);
-  auto rebuilt = PreparedGraph::Prepare(
-      BipartiteGraph::FromEdges(start.NumLeft(), start.NumRight(),
-                                AllEdges(current->graph())),
-      PrepareOptions());
-  QuerySession a(current);
-  QuerySession b(rebuilt);
-  EXPECT_EQ(a.Collect(BasicRequest()), b.Collect(BasicRequest()));
 }
 
 }  // namespace

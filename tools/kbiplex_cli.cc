@@ -24,7 +24,7 @@
 // (stdin).
 //
 // Batch files may also mutate the graph between queries:
-//   update +L:R -L:R ... [--max-delta-fraction F] [--force-rebuild]
+//   update +L:R -L:R ...
 // applies the edge delta (+ inserts, - deletes) as one batch, publishing
 // a new epoch that subsequent query lines run against; one JSON object
 // describing the apply is printed per update line.
@@ -86,9 +86,7 @@ void PrintUsage() {
                "prepares the graph once, and prints one JSON stats object "
                "per query.\n"
                "batch lines starting with \"update\" mutate the graph: "
-               "update +L:R -L:R ...\n"
-               "  [--max-delta-fraction F] [--force-rebuild] — later queries "
-               "see the new epoch.\n"
+               "update +L:R -L:R ... — later queries see the new epoch.\n"
                "algorithms: "
             << names << "\n";
 }
@@ -142,21 +140,11 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
   return args;
 }
 
-/// The prepare policy of the CLI: the core-bound short-circuit stays off
-/// for the one-shot commands (enumerate/large answer one query —
-/// pre-session stats output, including the backend counter blocks, must
-/// not change) and on for batch, where the bound amortizes over the query
-/// stream.
-PrepareOptions PreparePolicy(bool one_shot) {
-  PrepareOptions opts;
-  opts.core_bound_shortcut = !one_shot;
-  return opts;
-}
-
-int RunRequest(const CliArgs& args, BipartiteGraph g) {
-  const size_t num_vertices = g.NumVertices();
-  QuerySession session(
-      PreparedGraph::Prepare(std::move(g), PreparePolicy(/*one_shot=*/true)));
+/// enumerate/large answer one query on a graph they own, so they Borrow
+/// it: the core-bound short-circuit stays off, and the stats output,
+/// backend counter blocks included, is that of a direct run.
+int RunRequest(const CliArgs& args, const BipartiteGraph& g) {
+  QuerySession session(PreparedGraph::Borrow(g));
   StreamWriterSink writer(&std::cout,
                           args.json ? StreamWriterSink::Format::kJsonLines
                                     : StreamWriterSink::Format::kText);
@@ -187,45 +175,29 @@ int RunRequest(const CliArgs& args, BipartiteGraph g) {
     if (stats.large_mbp.has_value()) {
       std::fprintf(stderr, "# core %zu+%zu of %zu vertices\n",
                    stats.large_mbp->core_left, stats.large_mbp->core_right,
-                   num_vertices);
+                   g.NumVertices());
     }
   }
   return 0;
 }
 
-int CmdLarge(CliArgs args, BipartiteGraph g) {
+int CmdLarge(CliArgs args, const BipartiteGraph& g) {
   if (args.request.theta_left == 0 || args.request.theta_right == 0) {
     std::cerr << "large requires --theta-l and --theta-r\n";
     return 2;
   }
   args.request.algorithm = "large-mbp";
-  return RunRequest(args, std::move(g));
+  return RunRequest(args, g);
 }
 
 /// Parses one batch `update` line (everything after the keyword):
-/// "+L:R" inserts, "-L:R" deletes, plus the two option flags. Returns the
-/// error message, empty on success.
+/// "+L:R" inserts, "-L:R" deletes. Returns the error message, empty on
+/// success.
 std::string ParseUpdateLine(const std::string& rest,
-                            update::UpdateBatch* batch,
-                            update::UpdateOptions* options) {
+                            update::UpdateBatch* batch) {
   std::istringstream is(rest);
   std::string token;
   while (is >> token) {
-    if (token == "--force-rebuild") {
-      options->force_rebuild = true;
-      continue;
-    }
-    if (token == "--max-delta-fraction") {
-      std::string value;
-      if (!(is >> value)) return "--max-delta-fraction expects a number";
-      if (!ParseDouble(value, &options->max_delta_fraction)) {
-        return "--max-delta-fraction expects a number, got: " + value;
-      }
-      if (options->max_delta_fraction < 0) {
-        return "--max-delta-fraction must be non-negative";
-      }
-      continue;
-    }
     VertexId l = 0, r = 0;
     if ((token[0] != '+' && token[0] != '-') ||
         !ParseEdgeToken(token.substr(1), &l, &r)) {
@@ -259,8 +231,8 @@ int CmdBatch(const CliArgs& args, BipartiteGraph g) {
   // whole batch through the session. An `update` line replaces the
   // prepared epoch (copy-on-write) and the session is rebuilt against it;
   // engine scratch is the only thing lost.
-  std::shared_ptr<const PreparedGraph> prepared = PreparedGraph::Prepare(
-      std::move(g), PreparePolicy(/*one_shot=*/false));
+  std::shared_ptr<const PreparedGraph> prepared =
+      PreparedGraph::Prepare(std::move(g));
   auto session = std::make_unique<QuerySession>(prepared);
   bool all_ok = true;
   std::string line;
@@ -271,12 +243,10 @@ int CmdBatch(const CliArgs& args, BipartiteGraph g) {
         (start + 6 == line.size() || line[start + 6] == ' ' ||
          line[start + 6] == '\t')) {
       update::UpdateBatch batch;
-      update::UpdateOptions options;
-      std::string err =
-          ParseUpdateLine(line.substr(start + 6), &batch, &options);
+      std::string err = ParseUpdateLine(line.substr(start + 6), &batch);
       update::UpdateResult result;
       if (err.empty()) {
-        result = prepared->ApplyUpdates(batch, options);
+        result = prepared->ApplyUpdates(batch);
         err = result.error;
       }
       // Exactly one JSON object per update line, mirroring the per-query
@@ -295,8 +265,9 @@ int CmdBatch(const CliArgs& args, BipartiteGraph g) {
            << ",\"deleted\":" << result.edges_deleted
            << ",\"noop_inserts\":" << result.noop_inserts
            << ",\"noop_deletes\":" << result.noop_deletes
-           << ",\"rebuilt\":" << json::Bool(result.rebuilt)
-           << ",\"seconds\":";
+           // Every epoch builds its artifacts lazily; the key stays for
+           // readers of the output schema.
+           << ",\"rebuilt\":false,\"seconds\":";
         json::AppendDouble(os, result.seconds);
         os << '}';
       }
@@ -360,8 +331,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   BipartiteGraph& g = *r.graph;
-  if (args->command == "enumerate") return RunRequest(*args, std::move(g));
-  if (args->command == "large") return CmdLarge(*args, std::move(g));
+  if (args->command == "enumerate") return RunRequest(*args, g);
+  if (args->command == "large") return CmdLarge(*args, g);
   if (args->command == "batch") return CmdBatch(*args, std::move(g));
   if (args->command == "stats") return CmdStats(g);
   PrintUsage();

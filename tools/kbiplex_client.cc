@@ -18,18 +18,19 @@
 // terminal response (see docs/wire_protocol.md, "Updates").
 //
 //   kbiplex-client --port N update GRAPH [--insert L:R]... [--delete L:R]...
-//                  [--max-delta-fraction F] [--force-rebuild]
 //
 // Exit status: 0 when every command ended in a non-error terminal
 // response, 1 otherwise.
 
 #include <cstdio>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/request_parse.h"
 #include "serve/client.h"
+#include "util/json.h"
 #include "util/json_value.h"
 
 namespace {
@@ -40,8 +41,7 @@ int Usage(const char* argv0) {
                "       %s --port N query GRAPH [request flags]\n"
                "                  [--deadline-ms N] [--count]\n"
                "       %s --port N update GRAPH [--insert L:R]... "
-               "[--delete L:R]...\n"
-               "                  [--max-delta-fraction F] [--force-rebuild]\n",
+               "[--delete L:R]...\n",
                argv0, argv0, argv0);
   return 2;
 }
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   if (i < argc && std::string(argv[i]) == "update") {
     if (i + 1 >= argc) return Usage(argv[0]);
     const std::string graph = argv[i + 1];
-    std::string inserts, deletes, options;
+    std::ostringstream inserts, deletes;
     for (int t = i + 2; t < argc; ++t) {
       const std::string flag = argv[t];
       if ((flag == "--insert" || flag == "--delete") && t + 1 < argc) {
@@ -104,34 +104,21 @@ int main(int argc, char** argv) {
                        flag.c_str(), argv[t]);
           return 2;
         }
-        std::string& list = flag == "--insert" ? inserts : deletes;
-        if (!list.empty()) list += ",";
-        list += "[" + std::to_string(l) + "," + std::to_string(r) + "]";
-      } else if (flag == "--max-delta-fraction" && t + 1 < argc) {
-        double f = 0;
-        if (!kbiplex::ParseDouble(argv[++t], &f) || f < 0) {
-          std::fprintf(stderr,
-                       "kbiplex-client: bad --max-delta-fraction '%s'\n",
-                       argv[t]);
-          return 2;
-        }
-        if (!options.empty()) options += ",";
-        options += "\"max_delta_fraction\":" + std::string(argv[t]);
-      } else if (flag == "--force-rebuild") {
-        if (!options.empty()) options += ",";
-        options += "\"force_rebuild\":true";
+        std::ostringstream& list = flag == "--insert" ? inserts : deletes;
+        if (list.tellp() > 0) list << ',';
+        list << '[' << l << ',' << r << ']';
       } else {
         std::fprintf(stderr, "kbiplex-client: unknown flag '%s'\n",
                      flag.c_str());
         return 2;
       }
     }
-    std::string line = "{\"op\":\"update\",\"id\":1,\"name\":\"" + graph +
-                       "\",\"insert\":[" + inserts + "],\"delete\":[" +
-                       deletes + "]";
-    if (!options.empty()) line += ",\"options\":{" + options + "}";
-    line += "}";
-    query_line = std::move(line);
+    std::ostringstream line;
+    line << "{\"op\":\"update\",\"id\":1,\"name\":";
+    kbiplex::json::AppendEscaped(line, graph);
+    line << ",\"insert\":[" << inserts.str() << "],\"delete\":["
+         << deletes.str() << "]}";
+    query_line = line.str();
   } else if (i < argc) {
     if (std::string(argv[i]) != "query" || i + 1 >= argc)
       return Usage(argv[0]);
@@ -168,14 +155,14 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    std::string line = "{\"op\":\"query\",\"id\":1,\"graph\":\"" + graph +
-                       "\",\"request\":" +
-                       kbiplex::RequestToWireJson(request);
-    if (deadline_ms > 0)
-      line += ",\"deadline_ms\":" + std::to_string(deadline_ms);
-    if (count_only) line += ",\"emit\":\"count\"";
-    line += "}";
-    query_line = std::move(line);
+    std::ostringstream line;
+    line << "{\"op\":\"query\",\"id\":1,\"graph\":";
+    kbiplex::json::AppendEscaped(line, graph);
+    line << ",\"request\":" << kbiplex::RequestToWireJson(request);
+    if (deadline_ms > 0) line << ",\"deadline_ms\":" << deadline_ms;
+    if (count_only) line << ",\"emit\":\"count\"";
+    line << '}';
+    query_line = line.str();
   }
 
   kbiplex::serve::LineClient client;

@@ -95,8 +95,7 @@ int main(int argc, char** argv) {
 
   Server server(options);
   for (const auto& [name, path] : preloads) {
-    const std::string err =
-        server.registry().LoadFile(name, path, options.prepare);
+    const std::string err = server.registry().LoadFile(name, path);
     if (!err.empty()) {
       std::fprintf(stderr, "kbiplexd: preload %s: %s\n", name.c_str(),
                    err.c_str());
