@@ -1,7 +1,7 @@
-// Google-benchmark micro benchmarks for the core primitives: bitset
-// sweeps, graph construction, core decomposition, EnumAlmostSat and
-// maximal extension. These track the constant factors behind the
-// figure-level harnesses.
+// Google-benchmark micro benchmarks for the core primitives: graph
+// construction, core decomposition, EnumAlmostSat, maximal extension,
+// edge tests and sorted-list lookups. These track the constant factors
+// behind the figure-level harnesses.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -14,25 +14,10 @@
 #include "core/enum_almost_sat.h"
 #include "graph/core_decomposition.h"
 #include "graph/generators.h"
-#include "util/dynamic_bitset.h"
 #include "util/random.h"
 
 namespace kbiplex {
 namespace {
-
-void BM_BitsetIntersects(benchmark::State& state) {
-  const size_t bits = static_cast<size_t>(state.range(0));
-  DynamicBitset a(bits), b(bits);
-  Rng rng(3);
-  for (size_t i = 0; i < bits / 50 + 1; ++i) {
-    a.Set(rng.NextBelow(bits));
-    b.Set(rng.NextBelow(bits));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.Intersects(b));
-  }
-}
-BENCHMARK(BM_BitsetIntersects)->Arg(1024)->Arg(65536)->Arg(1048576);
 
 void BM_GraphBuild(benchmark::State& state) {
   const size_t edges = static_cast<size_t>(state.range(0));
@@ -165,20 +150,6 @@ void BM_AdjacencyTest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdjacencyTest);
-
-void BM_BitsetIntersectCount(benchmark::State& state) {
-  const size_t bits = static_cast<size_t>(state.range(0));
-  DynamicBitset a(bits), b(bits);
-  Rng rng(9);
-  for (size_t i = 0; i < bits / 20 + 1; ++i) {
-    a.Set(rng.NextBelow(bits));
-    b.Set(rng.NextBelow(bits));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.IntersectCount(b));
-  }
-}
-BENCHMARK(BM_BitsetIntersectCount)->Arg(1024)->Arg(65536);
 
 void BM_SortedContains(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -116,6 +116,10 @@ RequestFlagParse ParseRequestFlag(const std::vector<std::string>& tokens,
     if (!next_parsed(ParseDouble, &request->time_budget_seconds)) {
       return RequestFlagParse::kError;
     }
+    if (request->time_budget_seconds < 0) {
+      *error = flag + " must be non-negative";
+      return RequestFlagParse::kError;
+    }
   } else if (flag == "--max-links") {
     if (!next_parsed(ParseUint64, &request->max_links)) {
       return RequestFlagParse::kError;
@@ -208,7 +212,9 @@ std::string ParseRequestJson(const json::JsonValue& value,
                              EnumerateRequest* request) {
   if (!value.is_object()) return "request must be a JSON object";
   std::string error;
+  // 'k' sets both sides, so it conflicts with 'kl'/'kr' in either order.
   bool saw_uniform_k = false;
+  std::string saw_side_k;
   for (const auto& [key, v] : value.AsObject()) {
     if (key == "algo" || key == "algorithm") {
       if (!v.is_string()) return "request key '" + key + "' must be a string";
@@ -216,18 +222,18 @@ std::string ParseRequestJson(const json::JsonValue& value,
     } else if (key == "k") {
       uint64_t k = 0;
       if (!JsonToUint(v, 1u << 30, &k, key, &error)) return error;
+      if (!saw_side_k.empty()) {
+        return "request keys 'k' and '" + saw_side_k + "' conflict";
+      }
       request->k = KPair::Uniform(static_cast<int>(k));
       saw_uniform_k = true;
-    } else if (key == "kl") {
-      uint64_t kl = 0;
-      if (!JsonToUint(v, 1u << 30, &kl, key, &error)) return error;
-      if (saw_uniform_k) return "request keys 'k' and 'kl' conflict";
-      request->k.left = static_cast<int>(kl);
-    } else if (key == "kr") {
-      uint64_t kr = 0;
-      if (!JsonToUint(v, 1u << 30, &kr, key, &error)) return error;
-      if (saw_uniform_k) return "request keys 'k' and 'kr' conflict";
-      request->k.right = static_cast<int>(kr);
+    } else if (key == "kl" || key == "kr") {
+      uint64_t side_k = 0;
+      if (!JsonToUint(v, 1u << 30, &side_k, key, &error)) return error;
+      if (saw_uniform_k) return "request keys 'k' and '" + key + "' conflict";
+      (key == "kl" ? request->k.left : request->k.right) =
+          static_cast<int>(side_k);
+      saw_side_k = key;
     } else if (key == "theta_l") {
       uint64_t t = 0;
       if (!JsonToUint(v, UINT64_MAX, &t, key, &error)) return error;

@@ -105,8 +105,10 @@ std::string ParseCommand(const std::string& line, WireCommand* cmd) {
       }
       if (key == "deadline_ms") {
         if (!value.is_number() || value.AsNumber() < 0 ||
-            value.AsNumber() != std::floor(value.AsNumber())) {
-          return "'deadline_ms' must be a non-negative integer";
+            value.AsNumber() != std::floor(value.AsNumber()) ||
+            value.AsNumber() > static_cast<double>(kMaxDeadlineMs)) {
+          return "'deadline_ms' must be an integer in [0, " +
+                 std::to_string(kMaxDeadlineMs) + "]";
         }
         cmd->deadline_ms = static_cast<uint64_t>(value.AsNumber());
         continue;

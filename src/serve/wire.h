@@ -42,6 +42,11 @@ enum WireError : int {
   kDeadlineExceeded = 504,  // per-request deadline expired
 };
 
+/// Largest accepted query "deadline_ms" (2^32 ms, about 49.7 days). A
+/// larger value would overflow the server's steady_clock deadline, which
+/// counts nanoseconds in a signed 64-bit integer.
+inline constexpr uint64_t kMaxDeadlineMs = uint64_t{1} << 32;
+
 /// One parsed command line.
 struct WireCommand {
   std::string op;       // "query", "load", "evict", "list", ...
@@ -50,7 +55,7 @@ struct WireCommand {
   std::string graph;    // query: target graph; load/evict: graph name
   std::string path;     // load: edge-list path
   EnumerateRequest request;  // query: the parsed request
-  uint64_t deadline_ms = 0;  // query: 0 = no deadline
+  uint64_t deadline_ms = 0;  // query: 0 = no deadline, <= kMaxDeadlineMs
   bool count_only = false;   // query: "emit":"count" suppresses solutions
   bool sort = false;  // query: stream solutions in canonical order (the
                       // buffered-then-sorted emission that makes parallel

@@ -1,8 +1,9 @@
-// A compact runtime-sized bitset used for adjacency tests, candidate sets
-// and the exclusion sets of the traversal algorithms.
+// A compact runtime-sized bitset: the exclusion sets of the iTraversal
+// engine (set a vertex, test a vertex, count the members).
 #ifndef KBIPLEX_UTIL_DYNAMIC_BITSET_H_
 #define KBIPLEX_UTIL_DYNAMIC_BITSET_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -10,108 +11,44 @@
 
 namespace kbiplex {
 
-/// Runtime-sized bitset with word-parallel set operations.
+/// Runtime-sized bitset. Bits at or past size() are always clear.
 class DynamicBitset {
  public:
-  DynamicBitset() : size_(0) {}
+  DynamicBitset() = default;
 
   /// Creates a bitset of `size` bits, all clear.
-  explicit DynamicBitset(size_t size);
+  explicit DynamicBitset(size_t size) : size_(size), words_(WordsFor(size)) {}
 
   /// Number of bits.
   size_t size() const { return size_; }
 
   /// Resizes to `size` bits; newly added bits are clear.
-  void Resize(size_t size);
-
-  /// Sets bit `i`.
-  void Set(size_t i) { words_[i >> 6] |= (1ULL << (i & 63)); }
-
-  /// Clears bit `i`.
-  void Clear(size_t i) { words_[i >> 6] &= ~(1ULL << (i & 63)); }
-
-  /// Assigns bit `i`.
-  void Assign(size_t i, bool value) {
-    if (value) {
-      Set(i);
-    } else {
-      Clear(i);
-    }
-  }
-
-  /// Tests bit `i`.
-  bool Test(size_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1ULL;
+  void Resize(size_t size) {
+    size_ = size;
+    words_.resize(WordsFor(size), 0);
+    if (size_ % 64 != 0) words_.back() &= (1ULL << (size_ % 64)) - 1;
   }
 
   /// Clears every bit.
-  void Reset();
+  void Reset() { std::fill(words_.begin(), words_.end(), 0); }
 
-  /// Sets every bit.
-  void SetAll();
+  /// Sets bit `i`.
+  void Set(size_t i) { words_[i >> 6] |= 1ULL << (i & 63); }
+
+  /// Tests bit `i`.
+  bool Test(size_t i) const { return (words_[i >> 6] >> (i & 63)) & 1ULL; }
 
   /// Number of set bits.
-  size_t Count() const;
-
-  /// True iff no bit is set.
-  bool None() const;
-
-  /// True iff every set bit of *this is also set in `other`.
-  ///
-  /// Set operations below accept operands of any size: `other` behaves as
-  /// if zero-extended (or truncated) to this bitset's size, and the result
-  /// never carries bits past size(). Callers normally pass identical
-  /// sizes; the defined mixed-size semantics exist so a mismatch can never
-  /// read or write out of bounds (it used to index other's words by this
-  /// bitset's word count unchecked).
-  bool IsSubsetOf(const DynamicBitset& other) const;
-
-  /// True iff *this and `other` share at least one set bit.
-  bool Intersects(const DynamicBitset& other) const;
-
-  /// In-place union / intersection / difference with `other`
-  /// (zero-extended/truncated to size(), see IsSubsetOf).
-  DynamicBitset& operator|=(const DynamicBitset& other);
-  DynamicBitset& operator&=(const DynamicBitset& other);
-  DynamicBitset& operator-=(const DynamicBitset& other);
-
-  friend bool operator==(const DynamicBitset& a, const DynamicBitset& b) {
-    return a.size_ == b.size_ && a.words_ == b.words_;
+  size_t Count() const {
+    size_t n = 0;
+    for (uint64_t w : words_) n += static_cast<size_t>(std::popcount(w));
+    return n;
   }
-
-  /// Index of the first set bit at or after `from`, or `size()` if none.
-  /// Word-level: skips clear words eight bytes at a time.
-  size_t FindNextSet(size_t from) const;
-
-  /// Deprecated alias of FindNextSet.
-  size_t FindNext(size_t from) const { return FindNextSet(from); }
-
-  /// Number of bits set in both *this and `other` (popcount of the
-  /// intersection, without materializing it; mixed sizes per IsSubsetOf).
-  size_t IntersectCount(const DynamicBitset& other) const;
-
-  /// Invokes `fn(size_t index)` for every set bit in ascending order.
-  /// Word-level: one countr_zero per set bit, no per-clear-bit work.
-  template <typename Fn>
-  void ForEachSet(Fn&& fn) const {
-    for (size_t wi = 0; wi < words_.size(); ++wi) {
-      uint64_t w = words_[wi];
-      while (w != 0) {
-        const uint64_t bit = w & (~w + 1);  // lowest set bit
-        fn((wi << 6) + static_cast<size_t>(std::countr_zero(w)));
-        w ^= bit;
-      }
-    }
-  }
-
-  /// Appends the indices of all set bits to `out`.
-  void AppendSetBits(std::vector<uint32_t>* out) const;
 
  private:
-  /// Clears any bits of the last word at or past size().
-  void TruncateToSize();
+  static size_t WordsFor(size_t bits) { return (bits + 63) / 64; }
 
-  size_t size_;
+  size_t size_ = 0;
   std::vector<uint64_t> words_;
 };
 

@@ -57,6 +57,7 @@ TEST(RequestParseTest, FlagLineRejectsUnknownAndMalformed) {
   EXPECT_NE(LineError("--k 2x"), "");       // trailing garbage
   EXPECT_NE(LineError("--k -1"), "");       // negative budget
   EXPECT_NE(LineError("--budget abc"), "");
+  EXPECT_NE(LineError("--budget -1"), "");  // negative time budget
   EXPECT_NE(LineError("--opt novalue"), "");  // --opt wants KEY=VALUE
 }
 
@@ -95,6 +96,16 @@ TEST(RequestParseTest, JsonFormParsesAndRejectsUnknownKeys) {
   EXPECT_NE(JsonError("{\"k\":\"two\"}"), "");    // wrong type
   EXPECT_NE(JsonError("{\"k\":-3}"), "");          // out of range
   EXPECT_NE(JsonError("{\"options\":{\"a\":1}}"), "");  // non-string option
+
+  // 'k' sets both sides: it conflicts with 'kl'/'kr' in either key order.
+  EXPECT_EQ(JsonError("{\"k\":1,\"kl\":2}"),
+            "request keys 'k' and 'kl' conflict");
+  EXPECT_EQ(JsonError("{\"kl\":2,\"k\":1}"),
+            "request keys 'k' and 'kl' conflict");
+  EXPECT_EQ(JsonError("{\"k\":1,\"kr\":2}"),
+            "request keys 'k' and 'kr' conflict");
+  EXPECT_EQ(JsonError("{\"kr\":2,\"k\":1}"),
+            "request keys 'k' and 'kr' conflict");
 }
 
 TEST(RequestParseTest, WireJsonRoundTrips) {

@@ -263,6 +263,40 @@ TEST(ServeTest, DeadlineMidRunCancelsTheEnumeration) {
   server.Wait();
 }
 
+// A deadline above the documented maximum is a 400, not a clock overflow:
+// 1e13 ms in nanoseconds overflows steady_clock's signed count, which
+// would put the deadline in the past, and 1e300 does not fit the uint64_t
+// field at all. The maximum itself runs.
+TEST(ServeTest, DeadlineAboveTheMaximumIsRejectedWith400) {
+  ServerOptions options;
+  Server server(options);
+  LoadResult loaded = LoadEdgeList(kToyGraphPath);
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  server.registry().Add("toy", std::move(*loaded.graph));
+  ASSERT_EQ(server.Start(), "");
+
+  LineClient client;
+  ASSERT_EQ(client.Connect("127.0.0.1", server.port()), "");
+  auto query = [&](const std::string& deadline_ms) {
+    return RoundTrip(&client,
+                     "{\"op\":\"query\",\"id\":1,\"graph\":\"toy\","
+                     "\"deadline_ms\":" + deadline_ms +
+                         ",\"emit\":\"count\",\"request\":"
+                         "{\"algo\":\"itraversal\",\"k\":1}}");
+  };
+  for (const char* too_long : {"10000000000000", "1e300", "4294967297"}) {
+    const std::vector<Response> r = query(too_long);
+    ASSERT_EQ(r.size(), 1u) << too_long;
+    EXPECT_EQ(r[0].type, "error") << too_long;
+    EXPECT_EQ(NumberField(r[0].value, "code"), 400) << too_long;
+  }
+  const std::vector<Response> r = query(std::to_string(kMaxDeadlineMs));
+  EXPECT_EQ(r.back().type, "done");
+
+  server.RequestDrain();
+  server.Wait();
+}
+
 TEST(ServeTest, OverloadedQueueRejectsWith429) {
   ServerOptions options;
   options.workers = 1;
