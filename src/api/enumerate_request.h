@@ -44,21 +44,24 @@ struct EnumerateRequest {
   /// backends without a comparable counter. 0 = unlimited.
   uint64_t max_links = 0;
 
-  /// Worker threads of the run: 1 = sequential (the default), 0 = one per
-  /// hardware thread, N = at most N workers (clamped to 256). With more than one thread the
-  /// facade shards the enumeration across workers when a sharding plan is
-  /// both available for the backend and provably equivalent to the
-  /// sequential run (see api/parallel_driver.h); otherwise it falls back
-  /// to the sequential path. A completed parallel run delivers exactly
-  /// the 1-thread run's solution *set*, but the delivery *order* is
-  /// unspecified and sinks are invoked from worker threads (serialized,
-  /// one at a time). When a run stops early — max_results, time budget,
-  /// sink stop — the cap is still enforced exactly, but *which* solutions
-  /// arrive depends on worker interleaving. Because delivery may happen
-  /// from worker threads, the sink must declare it tolerates that (see
-  /// the threading contract in api/solution_sink.h): every request with
-  /// threads != 1 is rejected when the sink's ThreadCompatible() returns
-  /// false — wrap such a sink in SynchronizedSink or override the method.
+  /// Worker threads of the run: 1 (the default) = the calling thread
+  /// only, 0 = one per hardware thread, N = at most N workers (clamped to
+  /// 256). The facade runs the backend's shard plan (see
+  /// api/parallel_driver.h): component shards at every thread count when
+  /// they are provably equivalent to an unsplit run and two or more
+  /// components can hold a solution, range slices at two or more
+  /// threads; otherwise one unsplit backend run. A completed split run
+  /// delivers exactly the unsplit run's solution *set*, but in another
+  /// order; with more than one thread the order is unspecified and sinks
+  /// are invoked from worker threads (serialized, one at a time). When a
+  /// run stops early — max_results, time budget, sink stop — the cap is
+  /// still enforced exactly, but *which* solutions arrive depends on the
+  /// shard order. Because delivery may happen from worker threads, the
+  /// sink must declare it tolerates that (see the threading contract in
+  /// api/solution_sink.h): every request with threads != 1 is rejected
+  /// when the sink's ThreadCompatible() returns false — wrap such a sink
+  /// in SynchronizedSink or override the method. threads = 1 delivers
+  /// from the calling thread only.
   int threads = 1;
 
   /// Optional cooperative cancellation, polled by every backend at the

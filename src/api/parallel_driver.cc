@@ -101,19 +101,17 @@ bool RemainingBudget(const EnumerateRequest& request, const WallTimer& timer,
   return *remaining > 0;
 }
 
-/// Runs `body` as a pool task, converting an escaping exception into a
-/// recorded error instead of a process abort.
+/// Runs `body`, converting an escaping exception into a recorded error
+/// instead of a process abort.
 template <typename Body>
-void SubmitGuarded(ThreadPool* pool, ErrorCollector* errors, Body body) {
-  pool->Submit([errors, body = std::move(body)] {
-    try {
-      body();
-    } catch (const std::exception& e) {
-      errors->Record(std::string("worker failed: ") + e.what());
-    } catch (...) {
-      errors->Record("worker failed with an unknown exception");
-    }
-  });
+void RunGuarded(ErrorCollector* errors, const Body& body) {
+  try {
+    body();
+  } catch (const std::exception& e) {
+    errors->Record(std::string("worker failed: ") + e.what());
+  } catch (...) {
+    errors->Record("worker failed with an unknown exception");
+  }
 }
 
 /// Sink handed to a component worker's backend: translates the
@@ -163,8 +161,8 @@ std::vector<Shard> SplitRange(uint64_t total, uint64_t chunks) {
 }
 
 /// One shard per component large enough to hold a solution, biggest
-/// first; empty (run sequentially) when component sharding is unsafe or
-/// fewer than two shards remain.
+/// first; empty (no split) when component sharding is unsafe or fewer
+/// than two shards remain.
 std::vector<Shard> ComponentShards(const PreparedGraph& prepared,
                                    const EnumerateRequest& request,
                                    const AlgorithmBackend& backend) {
@@ -175,29 +173,22 @@ std::vector<Shard> ComponentShards(const PreparedGraph& prepared,
   }
   // max_links is an engine-internal work counter with no cross-engine
   // accounting hook; copying it into every shard would turn the global
-  // budget into a per-shard one (a truncated 1-thread run could "complete"
-  // in parallel). Run sequentially rather than change its meaning.
+  // budget into a per-shard one (a truncated unsplit run could "complete"
+  // when split). Run unsplit rather than change its meaning.
   if (request.max_links != 0) return {};
-  const BipartiteGraph& g = prepared.graph();
 
-  // Cheap labeling pass first (cached on the prepared graph, so repeated
-  // parallel queries of one session pay for it once): a component too
-  // small for the thresholds cannot host a deliverable solution (and
-  // spanning solutions are excluded by the safety check), and unless at
-  // least two components survive that filter the common single-component
-  // case bails out here without materializing any induced subgraph.
+  // Cheap labeling pass first (cached on the prepared graph with its
+  // per-component side sizes, so repeated queries of one session pay for
+  // it once): a component too small for the thresholds cannot host a
+  // deliverable solution (and spanning solutions are excluded by the
+  // safety check), and unless at least two components survive that filter
+  // the common single-component case bails out here without materializing
+  // any induced subgraph.
   const ComponentLabeling& labels = prepared.Components();
-  std::vector<std::pair<size_t, size_t>> comp_sizes(labels.num_components);
-  for (VertexId l = 0; l < g.NumLeft(); ++l) {
-    ++comp_sizes[labels.left[l]].first;
-  }
-  for (VertexId r = 0; r < g.NumRight(); ++r) {
-    ++comp_sizes[labels.right[r]].second;
-  }
   std::vector<int> eligible;
   for (int c = 0; c < labels.num_components; ++c) {
-    if (comp_sizes[c].first >= request.theta_left &&
-        comp_sizes[c].second >= request.theta_right) {
+    if (labels.left_size[c] >= request.theta_left &&
+        labels.right_size[c] >= request.theta_right) {
       eligible.push_back(c);
     }
   }
@@ -219,9 +210,12 @@ std::vector<Shard> ComponentShards(const PreparedGraph& prepared,
   return shards;
 }
 
-/// Runs every shard through a fresh backend on a pool of `threads`
-/// workers and folds the shard stats into one result.
+/// Runs every shard through a fresh backend and folds the shard stats
+/// into one result. One worker runs the shards inline on the calling
+/// thread, in order, with the caller's `scratch`; more run them on a pool
+/// without scratch.
 EnumerateStats RunShards(const PreparedGraph& prepared,
+                         TraversalScratch* scratch,
                          const EnumerateRequest& request,
                          const AlgorithmRegistry& registry,
                          const std::vector<Shard>& shards, size_t threads,
@@ -230,43 +224,51 @@ EnumerateStats RunShards(const PreparedGraph& prepared,
   SharedDelivery delivery(request, sink, &stop);
   ErrorCollector errors;
   std::vector<EnumerateStats> shard_stats(shards.size());
-  {
+  const bool inline_shards = threads == 1;
+  auto run_shard = [&](size_t i) {
+    const Shard& shard = shards[i];
+    std::unique_ptr<AlgorithmBackend> backend =
+        registry.Create(request.algorithm);
+    EnumerateRequest shard_request = request;
+    shard_request.cancellation = &stop;
+    shard_request.threads = 1;
+    if (!RemainingBudget(request, timer,
+                         &shard_request.time_budget_seconds)) {
+      // A skipped shard still carries the backend's detail block:
+      // otherwise the merged stats' JSON schema would depend on which
+      // shard the expiring budget happened to hit first.
+      shard_stats[i] = backend->NotStartedStats();
+      return;
+    }
+    QueryContext ctx{&prepared, inline_shards ? scratch : nullptr,
+                     shard.begin, shard.end};
+    SolutionSink* out = &delivery;
+    std::shared_ptr<const PreparedGraph> borrowed;
+    std::optional<MappingSink> mapping;
+    if (shard.component != nullptr) {
+      // A component shard wraps its subgraph in a borrowed prepared
+      // graph (no artifacts), so the cached component graphs stay
+      // untouched for the queries that follow.
+      borrowed = PreparedGraph::Borrow(shard.component->graph);
+      ctx.prepared = borrowed.get();
+      out = &mapping.emplace(&delivery, *shard.component);
+    }
+    shard_stats[i] = backend->Run(ctx, shard_request, out);
+    if (!shard_stats[i].error.empty()) {
+      errors.Record(shard_stats[i].error);
+      stop.Cancel();  // identical rejection awaits the other shards
+    }
+  };
+  if (inline_shards) {
+    // The caller's thread delivers every solution, so a sink that is not
+    // thread-compatible keeps its contract.
+    for (size_t i = 0; i < shards.size(); ++i) {
+      RunGuarded(&errors, [&] { run_shard(i); });
+    }
+  } else {
     ThreadPool pool(std::min(threads, shards.size()));
     for (size_t i = 0; i < shards.size(); ++i) {
-      SubmitGuarded(&pool, &errors, [&, i] {
-        const Shard& shard = shards[i];
-        std::unique_ptr<AlgorithmBackend> backend =
-            registry.Create(request.algorithm);
-        EnumerateRequest shard_request = request;
-        shard_request.cancellation = &stop;
-        shard_request.threads = 1;
-        if (!RemainingBudget(request, timer,
-                             &shard_request.time_budget_seconds)) {
-          // A skipped shard still carries the backend's detail block:
-          // otherwise the merged stats' JSON schema would depend on which
-          // shard the expiring budget happened to hit first.
-          shard_stats[i] = backend->NotStartedStats();
-          return;
-        }
-        QueryContext ctx{&prepared, nullptr, shard.begin, shard.end};
-        SolutionSink* out = &delivery;
-        std::shared_ptr<const PreparedGraph> borrowed;
-        std::optional<MappingSink> mapping;
-        if (shard.component != nullptr) {
-          // A component shard wraps its subgraph in a borrowed prepared
-          // graph (no artifacts, no scratch): workers must not share the
-          // session's single-threaded scratch, and the cached component
-          // graphs must stay untouched for the queries that follow.
-          borrowed = PreparedGraph::Borrow(shard.component->graph);
-          ctx.prepared = borrowed.get();
-          out = &mapping.emplace(&delivery, *shard.component);
-        }
-        shard_stats[i] = backend->Run(ctx, shard_request, out);
-        if (!shard_stats[i].error.empty()) {
-          errors.Record(shard_stats[i].error);
-          stop.Cancel();  // identical rejection awaits the other shards
-        }
-      });
+      pool.Submit([&, i] { RunGuarded(&errors, [&] { run_shard(i); }); });
     }
     pool.Wait();
   }
@@ -315,28 +317,35 @@ bool ComponentShardingIsSafe(KPair k, size_t theta_left, size_t theta_right) {
          (theta_right > kl && theta_left > 2 * kr);
 }
 
-std::optional<EnumerateStats> TryRunParallel(const PreparedGraph& prepared,
-                                             const EnumerateRequest& request,
-                                             const AlgorithmRegistry& registry,
-                                             const AlgorithmBackend& backend,
-                                             SolutionSink* sink) {
+EnumerateStats RunPlan(const PreparedGraph& prepared,
+                       TraversalScratch* scratch,
+                       const EnumerateRequest& request,
+                       const AlgorithmRegistry& registry,
+                       AlgorithmBackend& backend, SolutionSink* sink) {
   const size_t threads = ResolveThreadCount(request.threads);
-  if (threads < 2) return std::nullopt;
   WallTimer timer;
   std::vector<Shard> shards;
   if (std::optional<RangeDomain> domain =
           backend.ParallelRange(prepared.graph())) {
-    if (domain->size == 1) return std::nullopt;  // nothing to split
-    shards = SplitRange(domain->size, threads * domain->slices_per_thread);
+    // Range slices only spread the domain's work over workers, so one
+    // worker runs the domain whole; a one-element domain has nothing to
+    // split.
+    if (threads >= 2 && domain->size > 1) {
+      shards = SplitRange(domain->size, threads * domain->slices_per_thread);
+    }
   } else {
-    // Component sharding when it is safe and yields two or more shards,
-    // else the sequential engine. Splitting one component would have to
-    // turn off iTraversal's path-dependent exclusion strategy, which costs
-    // more than it gains.
+    // Component shards at every worker count: a per-component run never
+    // forms the almost-satisfying graphs that straddle components.
+    // Splitting one component would have to turn off iTraversal's
+    // path-dependent exclusion strategy, which costs more than it gains.
     shards = ComponentShards(prepared, request, backend);
-    if (shards.empty()) return std::nullopt;
   }
-  return RunShards(prepared, request, registry, shards, threads, timer, sink);
+  if (shards.empty()) {
+    return backend.Run(QueryContext{.prepared = &prepared, .scratch = scratch},
+                       request, sink);
+  }
+  return RunShards(prepared, scratch, request, registry, shards, threads,
+                   timer, sink);
 }
 
 }  // namespace internal

@@ -1,41 +1,48 @@
-// The multi-threaded enumeration driver behind EnumerateRequest::threads.
+// The shard plan behind every backend run, and the multi-threaded driver
+// behind EnumerateRequest::threads.
 //
-// Parallelism lives at the facade layer: every worker runs an existing
-// sequential backend on a shard chosen so that the union of the shards'
-// solution sets provably equals the sequential run's set. The split is
-// declared by the backend (api/registry.h), and one runner executes every
-// shard kind:
+// Parallelism lives at the facade layer: every shard runs an existing
+// sequential backend on a part of the input chosen so that the union of
+// the shards' solution sets provably equals the unsplit run's set. The
+// split is declared by the backend (api/registry.h), and one runner
+// executes every shard kind:
 //
 //   range slices     the backend declares a range domain [0, n) on the
 //                    graph (brute-force: 2^|L| left masks; imb: |L|+|R|
 //                    set-enumeration root branches) and runs any slice of
 //                    it through Run with QueryContext::range_begin/end.
-//                    A one-element domain runs sequentially.
-//   components       every other backend: each worker enumerates one
-//                    connected component's induced subgraph. Only
-//                    equivalent when the size thresholds provably exclude
-//                    solutions spanning several components (see
-//                    ComponentShardingIsSafe), only when the backend allows
-//                    it for the request, and only useful when at least two
-//                    components can host a solution; otherwise the facade
-//                    runs the sequential engine. There is no split inside
-//                    one component: it would have to turn off iTraversal's
-//                    path-dependent exclusion strategy, and the extra links
-//                    cost more than the workers gain.
+//                    Slices only spread work over workers, so the domain
+//                    splits at two or more threads and a one-element
+//                    domain never does.
+//   components       every other backend, at every thread count: each
+//                    shard enumerates one connected component's induced
+//                    subgraph. Only equivalent when the size thresholds
+//                    provably exclude solutions spanning several
+//                    components (see ComponentShardingIsSafe), only when
+//                    the backend allows it for the request, and only
+//                    useful when at least two components can host a
+//                    solution. Per-component runs never form the
+//                    almost-satisfying graphs that straddle components, so
+//                    the split pays even on one thread. There is no split
+//                    inside one component: it would have to turn off
+//                    iTraversal's path-dependent exclusion strategy, and
+//                    the extra links cost more than the workers gain.
 //
+// A request that does not split runs the backend once, exactly as a direct
+// run. With one worker the shards run inline on the calling thread, so the
+// sink sees every solution from that thread; with more they run on a pool.
 // Shard stats fold through EnumerateStats::MergeShard; a shard the time
 // budget expired before contributes the backend's NotStartedStats.
 //
-// Global budgets stay global: workers share one Delivery guarding the
+// Global budgets stay global: shards share one Delivery guarding the
 // caller's sink with a mutex and counting delivered solutions atomically;
 // reaching max_results (or a sink refusal) fires a driver-owned
-// CancellationToken chained to the caller's token, stopping every worker
+// CancellationToken chained to the caller's token, stopping every shard
 // at its next poll point.
 #ifndef KBIPLEX_API_PARALLEL_DRIVER_H_
 #define KBIPLEX_API_PARALLEL_DRIVER_H_
 
 #include <cstddef>
-#include <optional>
 
 #include "api/enumerate_request.h"
 #include "api/enumerate_stats.h"
@@ -59,20 +66,19 @@ size_t ResolveThreadCount(int threads);
 /// an optimization detail).
 bool ComponentShardingIsSafe(KPair k, size_t theta_left, size_t theta_right);
 
-/// Runs `request` with the multi-threaded driver against
-/// `prepared.graph()`, or returns nullopt when no equivalent
-/// parallel split exists (single worker resolved, unsafe component
-/// sharding, degenerate graph) — the caller then runs `backend`
-/// sequentially. `backend` only answers the split hooks; every shard runs
-/// on a fresh backend from `registry`. Component shards consume the
-/// prepared graph's cached component labeling instead of recomputing it
-/// per run. Pre-conditions: the request passed facade validation for its
-/// algorithm and request.threads >= 0.
-std::optional<EnumerateStats> TryRunParallel(const PreparedGraph& prepared,
-                                             const EnumerateRequest& request,
-                                             const AlgorithmRegistry& registry,
-                                             const AlgorithmBackend& backend,
-                                             SolutionSink* sink);
+/// Runs `request` against `prepared.graph()` through `backend`'s plan:
+/// range slices or component shards when the backend declares a split
+/// that applies (see the file comment), each shard on a fresh backend from
+/// `registry`; otherwise one `backend.Run` with `scratch`, exactly like a
+/// direct run. Component shards consume the prepared graph's cached
+/// component labeling and subgraphs instead of recomputing them per run.
+/// Pre-conditions: the request passed facade validation for its algorithm
+/// and request.threads >= 0.
+EnumerateStats RunPlan(const PreparedGraph& prepared,
+                       TraversalScratch* scratch,
+                       const EnumerateRequest& request,
+                       const AlgorithmRegistry& registry,
+                       AlgorithmBackend& backend, SolutionSink* sink);
 
 }  // namespace internal
 }  // namespace kbiplex

@@ -92,11 +92,11 @@ const ComponentLabeling& PreparedGraph::Components() const {
 const std::vector<InducedSubgraph>& PreparedGraph::ComponentSubgraphs()
     const {
   std::call_once(component_subgraphs_once_, [this] {
+    // Built from the cached labeling, so the result is index-aligned with
+    // Components() by construction.
+    const ComponentLabeling& labels = Components();
     WallTimer timer;
-    // ConnectedComponents numbers components exactly like
-    // LabelConnectedComponents (by smallest (side, id) vertex), so the
-    // result is index-aligned with Components() by construction.
-    component_subgraphs_ = ConnectedComponents(*graph_);
+    component_subgraphs_ = ConnectedComponents(*graph_, labels);
     counters_.Count(&PrepareArtifactStats::component_subgraph_builds,
                     timer.ElapsedSeconds());
   });

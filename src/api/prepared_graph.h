@@ -115,8 +115,8 @@ class PreparedGraph {
   /// its backend counter blocks and never pays the core-bound build.
   bool borrowed() const { return owned_ == nullptr; }
 
-  /// Connected-component labeling of the graph (consumed by the
-  /// parallel driver). Built on first call, then cached; thread-safe.
+  /// Connected-component labeling of the graph (consumed by the shard
+  /// plan). Built on first call, then cached; thread-safe.
   const ComponentLabeling& Components() const;
 
   /// Materialized induced subgraphs of every connected component of the

@@ -62,10 +62,10 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
         "threads must be >= 0 (0 = one per hardware thread)");
   } else if (request.threads != 1 && !sink->ThreadCompatible()) {
     // Deterministic contract check: any request asking for parallel
-    // delivery is rejected with an incompatible sink, even when the
-    // driver would have fallen back to the sequential path — whether a
-    // parallel plan engages depends on the graph and the hardware, and a
-    // sink contract must not.
+    // delivery is rejected with an incompatible sink, even when the plan
+    // would not have split — whether it splits depends on the graph and
+    // the hardware, and a sink contract must not. (threads = 1 runs every
+    // shard on the calling thread.)
     out = EnumerateStats::Rejected(
         "threads = " + std::to_string(request.threads) +
         " asks for delivery from worker threads, but the sink does "
@@ -103,16 +103,7 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
     out.seconds = timer.ElapsedSeconds();
   } else {
     std::unique_ptr<AlgorithmBackend> backend = registry.Create(name);
-    std::optional<EnumerateStats> parallel;
-    if (request.threads != 1) {
-      parallel =
-          TryRunParallel(prepared, request, registry, *backend, sink);
-    }
-    out = parallel.has_value()
-              ? std::move(*parallel)
-              : backend->Run(
-                    QueryContext{.prepared = &prepared, .scratch = scratch},
-                    request, sink);
+    out = RunPlan(prepared, scratch, request, registry, *backend, sink);
     if (!out.ok()) out.completed = false;
     if (!out.completed && Cancelled(request.cancellation)) {
       out.cancelled = true;
@@ -132,8 +123,8 @@ EnumerateStats QuerySession::Run(const EnumerateRequest& request,
                                  SolutionSink* sink) {
   ++queries_run_;
   bool short_circuited = false;
-  // The session's scratch is single-threaded state; parallel plans spawn
-  // workers with their own per-run scratch (the driver never forwards it).
+  // The session's scratch is single-threaded state: the plan hands it to
+  // an unsplit run and to inline shards, never to pool workers.
   EnumerateStats out = internal::RunOnPrepared(
       *prepared_, &scratch_, *registry_, request, sink, &short_circuited);
   if (short_circuited) ++short_circuits_;

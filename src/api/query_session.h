@@ -85,8 +85,8 @@ namespace internal {
 /// The one execution path behind QuerySession::Run and the Enumerate
 /// compatibility shim: validates `request` against the backend's
 /// capabilities and the sink's threading contract, applies the cached
-/// core-bound short-circuit, and dispatches to the parallel driver or a
-/// sequential backend.
+/// core-bound short-circuit, and runs the backend's shard plan
+/// (api/parallel_driver.h).
 /// `scratch` may be null (per-run scratch); `short_circuited` (optional)
 /// is set to whether the core bound answered the query without a backend.
 EnumerateStats RunOnPrepared(const PreparedGraph& prepared,

@@ -27,9 +27,10 @@ namespace kbiplex {
 /// state, affinity to the constructing thread). A sink declares it
 /// tolerates this by overriding ThreadCompatible() to return true; the
 /// facade deterministically rejects every threads != 1 request whose sink
-/// does not (even when the run would have fallen back to the sequential
-/// path — plan selection depends on graph and hardware, the contract must
-/// not), with an error naming SynchronizedSink as the standard remedy.
+/// does not (even when the plan would not have split — plan selection
+/// depends on graph and hardware, the contract must not), with an error
+/// naming SynchronizedSink as the standard remedy. A threads = 1 run,
+/// split or not, invokes Accept only from the calling thread.
 /// All built-in sinks are thread-compatible; custom sinks default to the
 /// conservative answer.
 class SolutionSink {

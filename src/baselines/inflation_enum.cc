@@ -35,7 +35,7 @@ Biplex SplitInflatedSet(const InflatedGraph& inflated,
 
 bool EnumAlmostSatByInflation(const BipartiteGraph& g, const Biplex& h,
                               Side v_side, VertexId v, KPair k,
-                              const LocalSolutionCallback& cb) {
+                              LocalSolutionCallback cb) {
   assert(k.IsUniform());
   // Materialize the almost-satisfying subgraph (A ∪ {v}, B) with compact
   // ids, then inflate it.

@@ -11,6 +11,7 @@
 #define KBIPLEX_BASELINES_INFLATION_ENUM_H_
 
 #include <cstdint>
+#include <functional>
 
 #include "core/biplex.h"
 #include "core/enum_almost_sat.h"
@@ -25,11 +26,11 @@ namespace kbiplex {
 /// correspondence only holds for a single k.
 bool EnumAlmostSatByInflation(const BipartiteGraph& g, const Biplex& h,
                               Side v_side, VertexId v, KPair k,
-                              const LocalSolutionCallback& cb);
+                              LocalSolutionCallback cb);
 inline bool EnumAlmostSatByInflation(const BipartiteGraph& g,
                                      const Biplex& h, Side v_side,
                                      VertexId v, int k,
-                                     const LocalSolutionCallback& cb) {
+                                     LocalSolutionCallback cb) {
   return EnumAlmostSatByInflation(g, h, v_side, v, KPair::Uniform(k), cb);
 }
 

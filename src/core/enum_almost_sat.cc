@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/subset_enum.h"
-
 namespace kbiplex {
 namespace {
 
@@ -15,8 +13,7 @@ class AlmostSatEnumerator {
  public:
   AlmostSatEnumerator(const BipartiteGraph& g, const Biplex& h, Side v_side,
                       VertexId v, KPair k, const EnumAlmostSatOptions& opts,
-                      const LocalSolutionCallback& cb,
-                      EnumAlmostSatStats* stats)
+                      LocalSolutionCallback cb, EnumAlmostSatStats* stats)
       : g_(g),
         v_side_(v_side),
         v_(v),
@@ -54,9 +51,10 @@ class AlmostSatEnumerator {
           continue;  // pruned by Lemma 4.2
         }
         bool go = ForEachCombination(
-            ws_.b1.size(), s1, [&](const std::vector<size_t>& c1) {
+            ws_.b1.size(), s1, &ws_.comb1, [&](const std::vector<size_t>& c1) {
               return ForEachCombination(
-                  ws_.b2.size(), s2, [&](const std::vector<size_t>& c2) {
+                  ws_.b2.size(), s2, &ws_.comb2,
+                  [&](const std::vector<size_t>& c2) {
                     return ProcessBSubset(c1, c2);
                   });
             });
@@ -152,8 +150,8 @@ class AlmostSatEnumerator {
     std::set_difference(ws_.a_remo.begin(), ws_.a_remo.end(),
                         ws_.req.begin(), ws_.req.end(),
                         std::back_inserter(ws_.rest));
-    BoundedSubsetEnumerator en(ws_.rest.size(),
-                               ws_.bpp2.size() - ws_.req.size());
+    BoundedSubsetEnumerator& en = ws_.removal_sets;
+    en.Reset(ws_.rest.size(), ws_.bpp2.size() - ws_.req.size());
     while (en.Next()) {
       if (stats_ != nullptr) ++stats_->a_subsets;
       // Removal set as indices into A: forced removals plus the chosen
@@ -223,8 +221,8 @@ class AlmostSatEnumerator {
     // δ̄(a, B') = k together with a disconnected u ∈ B \ B' would force
     // δ̄(a, B) > k, contradicting that (A, B) is a k-biplex.
     if (ws_.bpp.size() < ka_) {
-      for (const auto& bucket : {ws_.b1, ws_.b2}) {
-        for (size_t i : bucket) {
+      for (const std::vector<size_t>* bucket : {&ws_.b1, &ws_.b2}) {
+        for (size_t i : *bucket) {
           if (sorted::Contains(ws_.bpp, b_[i])) continue;
           if (DiscInCandidateA(i) <= kb_) return false;  // u addable
         }
@@ -266,7 +264,7 @@ class AlmostSatEnumerator {
   const size_t ka_;  // budget of the anchored side (v's own side)
   const size_t kb_;  // budget of the opposite side
   const EnumAlmostSatOptions& opts_;
-  const LocalSolutionCallback& cb_;
+  const LocalSolutionCallback cb_;
   EnumAlmostSatStats* stats_;
 
   const std::vector<VertexId>& a_;
@@ -283,8 +281,7 @@ class AlmostSatEnumerator {
 
 bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h, Side v_side,
                    VertexId v, KPair k, const EnumAlmostSatOptions& opts,
-                   const LocalSolutionCallback& cb,
-                   EnumAlmostSatStats* stats) {
+                   LocalSolutionCallback cb, EnumAlmostSatStats* stats) {
   assert(k.left >= 1 && k.right >= 1);
   assert(!sorted::Contains(h.SideSet(v_side), v));
   AlmostSatEnumerator e(g, h, v_side, v, k, opts, cb, stats);

@@ -19,12 +19,13 @@
 #define KBIPLEX_CORE_ENUM_ALMOST_SAT_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/biplex.h"
 #include "graph/bipartite_graph.h"
 #include "util/dynamic_bitset.h"
+#include "util/function_ref.h"
+#include "util/subset_enum.h"
 #include "util/timer.h"
 
 namespace kbiplex {
@@ -54,6 +55,8 @@ struct EnumAlmostSatWorkspace {
   std::vector<size_t> req;            // forced removals (indices into A)
   std::vector<size_t> rest;           // a_remo minus req
   std::vector<size_t> merged;         // merge scratch for abar ∪ req
+  std::vector<size_t> comb1, comb2;   // B''_1 / B''_2 combinations (into B1/B2)
+  BoundedSubsetEnumerator removal_sets;  // removal sets of one B'' choice
   Biplex loc;                         // local-solution assembly buffer
 };
 
@@ -90,8 +93,9 @@ struct EnumAlmostSatStats {
 /// Receives each local solution; returns false to stop the enumeration.
 /// The Biplex reference is only valid for the duration of the call — the
 /// enumerator assembles every local solution in a reused workspace
-/// buffer — so a callback that keeps a solution must copy it.
-using LocalSolutionCallback = std::function<bool(const Biplex&)>;
+/// buffer — so a callback that keeps a solution must copy it. A
+/// non-owning reference: the callable must outlive the EnumAlmostSat call.
+using LocalSolutionCallback = FunctionRef<bool(const Biplex&)>;
 
 /// Enumerates all local solutions within the almost-satisfying graph
 /// (A ∪ {v}, B), where `h` is a k-biplex of `g`, A = h's side `v_side`,
@@ -101,12 +105,12 @@ using LocalSolutionCallback = std::function<bool(const Biplex&)>;
 /// Returns false iff the callback requested a stop.
 bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h, Side v_side,
                    VertexId v, KPair k, const EnumAlmostSatOptions& opts,
-                   const LocalSolutionCallback& cb,
+                   LocalSolutionCallback cb,
                    EnumAlmostSatStats* stats = nullptr);
 inline bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h,
                           Side v_side, VertexId v, int k,
                           const EnumAlmostSatOptions& opts,
-                          const LocalSolutionCallback& cb,
+                          LocalSolutionCallback cb,
                           EnumAlmostSatStats* stats = nullptr) {
   return EnumAlmostSat(g, h, v_side, v, KPair::Uniform(k), opts, cb, stats);
 }

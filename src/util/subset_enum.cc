@@ -4,26 +4,15 @@
 
 namespace kbiplex {
 
-bool ForEachCombination(
-    size_t n, size_t s,
-    const std::function<bool(const std::vector<size_t>&)>& fn) {
-  if (s > n) return true;
-  std::vector<size_t> comb(s);
-  for (size_t i = 0; i < s; ++i) comb[i] = i;
-  while (true) {
-    if (!fn(comb)) return false;
-    if (s == 0) return true;
-    // Advance to the next lexicographic combination.
-    size_t i = s;
-    while (i > 0 && comb[i - 1] == n - s + (i - 1)) --i;
-    if (i == 0) return true;
-    ++comb[i - 1];
-    for (size_t j = i; j < s; ++j) comb[j] = comb[j - 1] + 1;
-  }
+void BoundedSubsetEnumerator::Reset(size_t n, size_t max_size) {
+  n_ = n;
+  max_size_ = std::min(max_size, n);
+  size_ = 0;
+  started_ = false;
+  current_.clear();
+  base_items_.clear();
+  base_ends_.clear();
 }
-
-BoundedSubsetEnumerator::BoundedSubsetEnumerator(size_t n, size_t max_size)
-    : n_(n), max_size_(std::min(max_size, n)), size_(0), started_(false) {}
 
 bool BoundedSubsetEnumerator::AdvanceCombination() {
   if (!started_) {
@@ -53,27 +42,29 @@ bool BoundedSubsetEnumerator::AdvanceCombination() {
   }
 }
 
-bool BoundedSubsetEnumerator::IsPruned(
-    const std::vector<size_t>& subset) const {
-  for (const auto& base : pruned_bases_) {
-    if (base.size() <= subset.size() &&
-        std::includes(subset.begin(), subset.end(), base.begin(),
-                      base.end())) {
+bool BoundedSubsetEnumerator::IsPruned() const {
+  size_t begin = 0;
+  for (size_t end : base_ends_) {
+    if (end - begin <= current_.size() &&
+        std::includes(current_.begin(), current_.end(),
+                      base_items_.begin() + begin, base_items_.begin() + end)) {
       return true;
     }
+    begin = end;
   }
   return false;
 }
 
 bool BoundedSubsetEnumerator::Next() {
   while (AdvanceCombination()) {
-    if (!IsPruned(current_)) return true;
+    if (!IsPruned()) return true;
   }
   return false;
 }
 
 void BoundedSubsetEnumerator::PruneSupersetsOfCurrent() {
-  pruned_bases_.push_back(current_);
+  base_items_.insert(base_items_.end(), current_.begin(), current_.end());
+  base_ends_.push_back(base_items_.size());
 }
 
 }  // namespace kbiplex

@@ -1,26 +1,45 @@
 // Bounded-cardinality subset enumeration used by EnumAlmostSat (Section 4 of
 // the paper): subsets are visited in ascending cardinality, and once a
 // subset is accepted every superset of it can be pruned (refinement L2.0).
+// Both enumerators run on caller-owned storage, so the Step-2 subset loops
+// allocate nothing once their buffers reached capacity.
 #ifndef KBIPLEX_UTIL_SUBSET_ENUM_H_
 #define KBIPLEX_UTIL_SUBSET_ENUM_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace kbiplex {
 
 /// Invokes `fn` with every size-`s` combination of indices {0, .., n-1},
-/// passed as a sorted index vector, in lexicographic order. `fn` returns
-/// false to stop early. Returns false iff stopped early.
-bool ForEachCombination(size_t n, size_t s,
-                        const std::function<bool(const std::vector<size_t>&)>& fn);
+/// passed as a sorted index vector, in lexicographic order. `*comb` is the
+/// combination buffer (its contents are overwritten). `fn` returns false
+/// to stop early. Returns false iff stopped early.
+template <typename Fn>
+bool ForEachCombination(size_t n, size_t s, std::vector<size_t>* comb,
+                        Fn&& fn) {
+  if (s > n) return true;
+  std::vector<size_t>& c = *comb;
+  c.resize(s);
+  for (size_t i = 0; i < s; ++i) c[i] = i;
+  while (true) {
+    if (!fn(static_cast<const std::vector<size_t>&>(c))) return false;
+    if (s == 0) return true;
+    // Advance to the next lexicographic combination.
+    size_t i = s;
+    while (i > 0 && c[i - 1] == n - s + (i - 1)) --i;
+    if (i == 0) return true;
+    ++c[i - 1];
+    for (size_t j = i; j < s; ++j) c[j] = c[j - 1] + 1;
+  }
+}
 
 /// Enumerates subsets of {0, .., n-1} with cardinality 0..max_size in
 /// ascending cardinality, supporting superset pruning: call
 /// PruneSupersetsOfCurrent() after Next() returned a subset S to skip every
-/// later subset that contains S.
+/// later subset that contains S. Reset() starts a new enumeration and keeps
+/// the buffers' capacity, so one instance serves many enumerations.
 ///
 /// Usage:
 ///   BoundedSubsetEnumerator e(n, k);
@@ -30,9 +49,16 @@ bool ForEachCombination(size_t n, size_t s,
 ///   }
 class BoundedSubsetEnumerator {
  public:
+  /// An exhausted enumerator; call Reset() to start one.
+  BoundedSubsetEnumerator() = default;
+
   /// Enumerates subsets of a ground set of `n` elements with size at most
   /// `max_size`.
-  BoundedSubsetEnumerator(size_t n, size_t max_size);
+  BoundedSubsetEnumerator(size_t n, size_t max_size) { Reset(n, max_size); }
+
+  /// Restarts the enumeration on a ground set of `n` elements with size at
+  /// most `max_size`, forgetting every pruned base.
+  void Reset(size_t n, size_t max_size);
 
   /// Advances to the next non-pruned subset; returns false when exhausted.
   /// The empty subset is visited first.
@@ -47,14 +73,16 @@ class BoundedSubsetEnumerator {
 
  private:
   bool AdvanceCombination();
-  bool IsPruned(const std::vector<size_t>& subset) const;
+  bool IsPruned() const;
 
-  size_t n_;
-  size_t max_size_;
-  size_t size_;           // cardinality currently being enumerated
-  bool started_;
+  size_t n_ = 0;
+  size_t max_size_ = 0;
+  size_t size_ = 0;  // cardinality currently being enumerated
+  bool started_ = true;
   std::vector<size_t> current_;
-  std::vector<std::vector<size_t>> pruned_bases_;
+  // Pruned bases, flat: base i is base_items_[base_ends_[i-1], base_ends_[i]).
+  std::vector<size_t> base_items_;
+  std::vector<size_t> base_ends_;
 };
 
 }  // namespace kbiplex

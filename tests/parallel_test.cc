@@ -3,16 +3,19 @@
 // cancellation chaining, and — the load-bearing property — that the
 // multi-threaded driver delivers exactly the 1-thread solution set for
 // every registered algorithm.
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/enumerator.h"
 #include "api/parallel_driver.h"
+#include "api/query_session.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 #include "test_support.h"
@@ -22,6 +25,7 @@
 namespace kbiplex {
 namespace {
 
+using testing_support::DisjointUnion;
 using testing_support::MakeGraph;
 using testing_support::MakeRandomGraph;
 using testing_support::ToString;
@@ -95,6 +99,37 @@ TEST(Components, EveryVertexAppearsExactlyOnce) {
   EXPECT_EQ(edges, g.NumEdges());
 }
 
+TEST(Components, MatchesInduceOfEachLabeledComponent) {
+  // Mostly isolated vertices on both sides (tens of thousands of
+  // single-vertex components would expose a per-component pass over a
+  // side), plus a few small components with edges.
+  std::vector<BipartiteGraph::Edge> edges = {
+      {0, 5}, {0, 6}, {7, 5}, {300, 900}, {301, 900}, {301, 901}, {999, 0}};
+  const BipartiteGraph g = MakeGraph(1000, 1200, std::move(edges));
+  const ComponentLabeling labels = LabelConnectedComponents(g);
+  const std::vector<InducedSubgraph> comps = ConnectedComponents(g);
+  ASSERT_EQ(static_cast<int>(comps.size()), labels.num_components);
+  ASSERT_EQ(labels.left_size.size(), comps.size());
+  ASSERT_EQ(labels.right_size.size(), comps.size());
+  for (int c = 0; c < labels.num_components; ++c) {
+    std::vector<VertexId> left, right;
+    for (VertexId l = 0; l < g.NumLeft(); ++l) {
+      if (labels.left[l] == c) left.push_back(l);
+    }
+    for (VertexId r = 0; r < g.NumRight(); ++r) {
+      if (labels.right[r] == c) right.push_back(r);
+    }
+    EXPECT_EQ(labels.left_size[c], left.size()) << "component " << c;
+    EXPECT_EQ(labels.right_size[c], right.size()) << "component " << c;
+    const InducedSubgraph want = Induce(g, left, right);
+    EXPECT_EQ(comps[c].left_map, want.left_map) << "component " << c;
+    EXPECT_EQ(comps[c].right_map, want.right_map) << "component " << c;
+    EXPECT_EQ(comps[c].graph.Edges(), want.graph.Edges()) << "component " << c;
+    EXPECT_EQ(comps[c].graph.NumLeft(), want.graph.NumLeft());
+    EXPECT_EQ(comps[c].graph.NumRight(), want.graph.NumRight());
+  }
+}
+
 // ------------------------------------------------- synchronized sink ------
 
 TEST(Sinks, SynchronizedSinkStopIsSticky) {
@@ -153,19 +188,6 @@ TEST(ParallelDriver, ComponentShardingSafetyCondition) {
 }
 
 // ------------------------------------------- parallel == sequential -------
-
-/// Disjoint union: appends `b`'s vertices after `a`'s on both sides.
-BipartiteGraph DisjointUnion(const BipartiteGraph& a,
-                             const BipartiteGraph& b) {
-  std::vector<BipartiteGraph::Edge> edges = a.Edges();
-  for (const auto& [l, r] : b.Edges()) {
-    edges.emplace_back(l + static_cast<VertexId>(a.NumLeft()),
-                       r + static_cast<VertexId>(a.NumRight()));
-  }
-  return BipartiteGraph::FromEdges(a.NumLeft() + b.NumLeft(),
-                                   a.NumRight() + b.NumRight(),
-                                   std::move(edges));
-}
 
 /// A dense graph that is one connected component: component sharding
 /// cannot split it, so the traversal family runs the sequential engine.
@@ -524,6 +546,94 @@ TEST(ParallelBudgets, BudgetExpiredRunKeepsStatsSchemaForEveryBackend) {
     EXPECT_FALSE(par.completed) << name;
     EXPECT_EQ(JsonKeys(par.ToJson()), JsonKeys(seq.ToJson()))
         << name << "\nseq: " << seq.ToJson() << "\npar: " << par.ToJson();
+  }
+}
+
+// ------------------------------------------ component plan at threads=1 --
+
+/// A sink that keeps the default ThreadCompatible() == false and records
+/// the thread of every Accept call.
+class ThreadRecordingSink final : public SolutionSink {
+ public:
+  bool Accept(const Biplex& b) override {
+    threads.insert(std::this_thread::get_id());
+    solutions.push_back(b);
+    return true;
+  }
+
+  std::set<std::thread::id> threads;
+  std::vector<Biplex> solutions;
+};
+
+/// Two components that each hold solutions at thetas (3, 3), small enough
+/// for brute force.
+BipartiteGraph TwoSmallBlocks() {
+  return DisjointUnion(MakeRandomGraph({5, 4, 0.75, 41}),
+                       MakeRandomGraph({4, 5, 0.75, 42}));
+}
+
+// At threads=1 a safe, multi-component request splits into component
+// shards that run inline: a sink that is not thread-compatible is
+// accepted, and the calling thread delivers every solution.
+TEST(ComponentPlan, OneThreadSplitRunsInlineOnTheCallingThread) {
+  auto prepared = PreparedGraph::Prepare(TwoSmallBlocks());
+  QuerySession session(prepared);
+  EnumerateRequest brute;
+  brute.algorithm = "brute-force";
+  brute.theta_left = 3;
+  brute.theta_right = 3;
+  const std::vector<Biplex> expect = session.Collect(brute);
+  ASSERT_FALSE(expect.empty());
+
+  for (const char* name : {"itraversal", "btraversal", "large-mbp"}) {
+    EnumerateRequest req = brute;
+    req.algorithm = name;
+    req.threads = 1;
+    ThreadRecordingSink sink;
+    const EnumerateStats seq = session.Run(req, &sink);
+    ASSERT_TRUE(seq.ok()) << name << ": " << seq.error;
+    EXPECT_TRUE(seq.completed) << name;
+    const std::set<std::thread::id> caller = {std::this_thread::get_id()};
+    EXPECT_EQ(sink.threads, caller) << name;
+    std::vector<Biplex> got = sink.solutions;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expect) << name << "\ngot:\n"
+                           << ToString(got) << "want:\n" << ToString(expect);
+    EXPECT_EQ(seq.solutions, expect.size()) << name;
+
+    req.threads = 4;
+    EnumerateStats par;
+    session.Collect(req, &par);
+    ASSERT_TRUE(par.ok()) << name << ": " << par.error;
+    EXPECT_EQ(JsonKeys(seq.ToJson()), JsonKeys(par.ToJson()))
+        << name << "\nthreads=1: " << seq.ToJson()
+        << "\nthreads=4: " << par.ToJson();
+  }
+  // The threads=1 runs took the component plan: they built the subgraphs.
+  EXPECT_EQ(prepared->artifact_stats().component_subgraph_builds, 1);
+}
+
+// A threads=1 split run whose budget expired before any shard started
+// still carries the backend's detail block.
+TEST(ComponentPlan, OneThreadBudgetExpiredSplitKeepsDetailBlock) {
+  const BipartiteGraph g =
+      DisjointUnion(CompleteBipartite(5, 5), CompleteBipartite(5, 5));
+  Enumerator enumerator(g);
+  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+    if (name == "brute-force" || name == "imb") continue;  // range domains
+    EnumerateRequest req;
+    req.algorithm = name;
+    req.theta_left = 3;
+    req.theta_right = 3;
+    req.time_budget_seconds = 1e-12;  // expired before any shard starts
+    req.threads = 1;
+    EnumerateStats stats;
+    EXPECT_TRUE(enumerator.Collect(req, &stats).empty()) << name;
+    ASSERT_TRUE(stats.ok()) << name << ": " << stats.error;
+    EXPECT_FALSE(stats.completed) << name;
+    EXPECT_TRUE(stats.traversal.has_value() || stats.large_mbp.has_value() ||
+                stats.inflation.has_value())
+        << name << ": " << stats.ToJson();
   }
 }
 

@@ -16,12 +16,14 @@
 #include "api/prepared_graph.h"
 #include "api/query_session.h"
 #include "core/brute_force.h"
+#include "core/btraversal.h"
 #include "graph/core_decomposition.h"
 #include "test_support.h"
 
 namespace kbiplex {
 namespace {
 
+using testing_support::DisjointUnion;
 using testing_support::MakeGraph;
 using testing_support::MakeRandomGraph;
 using testing_support::ToString;
@@ -216,6 +218,81 @@ TEST(QuerySessionTest, PreparedSessionMatchesSeedForAllAlgorithms) {
       ASSERT_EQ(got_par, expect) << name << " (threads=4) seed=" << seed;
     }
   }
+}
+
+// ------------------------------------------------------- unsplit requests --
+
+/// The solutions of one backend run on `g`, in emission order.
+std::vector<Biplex> DirectBackendRun(const BipartiteGraph& g,
+                                     const EnumerateRequest& req) {
+  auto borrowed = PreparedGraph::Borrow(g);
+  CollectingSink sink(/*sorted=*/false);
+  EnumerateStats stats = AlgorithmRegistry::Global()
+                             .Create(req.algorithm)
+                             ->Run(QueryContext{.prepared = borrowed.get()},
+                                   req, &sink);
+  EXPECT_TRUE(stats.ok()) << req.algorithm << ": " << stats.error;
+  return sink.Take();
+}
+
+// A request the plan does not split runs the backend once, exactly as a
+// direct run: same solutions in the same emission order, at threads=1.
+TEST(QuerySessionTest, UnsplitRequestsEmitInDirectRunOrder) {
+  const BipartiteGraph two_blocks =
+      DisjointUnion(MakeRandomGraph({6, 6, 0.6, 51}),
+                    MakeRandomGraph({6, 5, 0.6, 52}));
+  // One block big enough for thetas (3, 3) and one that is not.
+  const BipartiteGraph one_eligible = DisjointUnion(
+      MakeRandomGraph({6, 6, 0.6, 51}), MakeGraph(2, 2, {{0, 0}, {1, 1}}));
+  auto make = [](const char* algorithm, size_t theta, uint64_t max_links) {
+    EnumerateRequest req;
+    req.algorithm = algorithm;
+    req.theta_left = req.theta_right = theta;
+    req.max_links = max_links;
+    return req;
+  };
+  struct Case {
+    const char* what;
+    const BipartiteGraph* g;
+    EnumerateRequest req;
+  };
+  const std::vector<Case> cases = {
+      {"theta 0 (unsafe)", &two_blocks, make("itraversal", 0, 0)},
+      {"one eligible component", &one_eligible, make("itraversal", 3, 0)},
+      {"max_links", &two_blocks, make("itraversal", 3, 1u << 30)},
+      {"brute-force", &two_blocks, make("brute-force", 3, 0)},
+      {"imb", &two_blocks, make("imb", 3, 0)},
+  };
+  for (const Case& c : cases) {
+    auto prepared = PreparedGraph::Prepare(BipartiteGraph(*c.g));
+    QuerySession session(prepared);
+    EnumerateRequest req = c.req;
+    req.threads = 1;
+    CollectingSink sink(/*sorted=*/false);
+    EnumerateStats stats = session.Run(req, &sink);
+    ASSERT_TRUE(stats.ok()) << c.what << ": " << stats.error;
+    const std::vector<Biplex> got = sink.Take();
+    ASSERT_FALSE(got.empty()) << c.what;
+    EXPECT_EQ(got, DirectBackendRun(*c.g, req)) << c.what;
+    EXPECT_EQ(prepared->artifact_stats().component_subgraph_builds, 0)
+        << c.what;
+  }
+
+  // The theta-0 traversal equals a direct engine run, counters included.
+  std::vector<Biplex> engine_order;
+  const TraversalStats engine =
+      TraversalEngine(two_blocks, MakeITraversalOptions(1))
+          .Run([&](const Biplex& b) {
+            engine_order.push_back(b);
+            return true;
+          });
+  QuerySession session(PreparedGraph::Prepare(BipartiteGraph(two_blocks)));
+  CollectingSink sink(/*sorted=*/false);
+  EnumerateStats stats = session.Run(cases[0].req, &sink);
+  ASSERT_TRUE(stats.traversal.has_value());
+  EXPECT_EQ(sink.Take(), engine_order);
+  EXPECT_EQ(stats.traversal->links, engine.links);
+  EXPECT_EQ(stats.traversal->almost_sat_graphs, engine.almost_sat_graphs);
 }
 
 // --------------------------------------------------------- scratch reuse --

@@ -41,6 +41,19 @@ inline std::string ToString(const std::vector<Biplex>& bs) {
   return os.str();
 }
 
+/// Disjoint union: appends `b`'s vertices after `a`'s on both sides.
+inline BipartiteGraph DisjointUnion(const BipartiteGraph& a,
+                                    const BipartiteGraph& b) {
+  std::vector<BipartiteGraph::Edge> edges = a.Edges();
+  for (const auto& [l, r] : b.Edges()) {
+    edges.emplace_back(l + static_cast<VertexId>(a.NumLeft()),
+                       r + static_cast<VertexId>(a.NumRight()));
+  }
+  return BipartiteGraph::FromEdges(a.NumLeft() + b.NumLeft(),
+                                   a.NumRight() + b.NumRight(),
+                                   std::move(edges));
+}
+
 /// A reproducible family of small random graphs for property sweeps.
 struct RandomGraphCase {
   size_t nl;

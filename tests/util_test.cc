@@ -227,7 +227,8 @@ TEST(ForEachCombination, CountsMatchBinomials) {
   for (size_t n = 0; n <= 8; ++n) {
     for (size_t s = 0; s <= n; ++s) {
       size_t count = 0;
-      ForEachCombination(n, s, [&](const std::vector<size_t>& c) {
+      std::vector<size_t> buffer = {7, 7, 7};  // stale contents are ignored
+      ForEachCombination(n, s, &buffer, [&](const std::vector<size_t>& c) {
         EXPECT_EQ(c.size(), s);
         EXPECT_TRUE(std::is_sorted(c.begin(), c.end()));
         ++count;
@@ -243,9 +244,11 @@ TEST(ForEachCombination, CountsMatchBinomials) {
 
 TEST(ForEachCombination, EarlyStop) {
   size_t count = 0;
-  bool completed = ForEachCombination(6, 2, [&](const std::vector<size_t>&) {
-    return ++count < 3;
-  });
+  std::vector<size_t> buffer;
+  bool completed =
+      ForEachCombination(6, 2, &buffer, [&](const std::vector<size_t>&) {
+        return ++count < 3;
+      });
   EXPECT_FALSE(completed);
   EXPECT_EQ(count, 3u);
 }
@@ -293,6 +296,23 @@ TEST(BoundedSubsetEnumerator, SupersetPruning) {
   }
   // 2^3 subsets avoid element 0; plus {0} itself.
   EXPECT_EQ(visited.size(), 8u + 1u);
+}
+
+TEST(BoundedSubsetEnumerator, ResetForgetsBasesAndRestarts) {
+  BoundedSubsetEnumerator e;
+  EXPECT_FALSE(e.Next());  // default-constructed: exhausted
+  e.Reset(3, 3);
+  while (e.Next()) {
+    if (e.current().size() == 1) e.PruneSupersetsOfCurrent();
+  }
+  // A reset enumerator visits exactly what a fresh one does.
+  e.Reset(4, 2);
+  BoundedSubsetEnumerator fresh(4, 2);
+  std::vector<std::vector<size_t>> got, want;
+  while (e.Next()) got.push_back(e.current());
+  while (fresh.Next()) want.push_back(fresh.current());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.size(), 1u + 4u + 6u);
 }
 
 TEST(BoundedSubsetEnumerator, PruneEmptySetStopsEverything) {

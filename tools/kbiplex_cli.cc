@@ -152,9 +152,9 @@ int RunRequest(const CliArgs& args, const BipartiteGraph& g) {
   SolutionSink* sink =
       args.quiet ? static_cast<SolutionSink*>(&counter) : &writer;
   // --sort buffers the run and emits in canonical order, making the
-  // solution lines byte-identical across --threads values (a parallel
-  // run's delivery order is scheduling-dependent; see
-  // docs/wire_protocol.md).
+  // solution lines byte-identical across --threads values (a split
+  // run's delivery order differs from an unsplit run's and, with several
+  // threads, is scheduling-dependent; see docs/wire_protocol.md).
   SortingSink sorter(sink);
   const bool sorting = args.sort && !args.quiet;
   if (sorting) sink = &sorter;
