@@ -3,11 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "graph/generators.h"
-#include "util/json.h"
 #include "util/random.h"
 #include "util/table.h"
 
@@ -120,15 +117,6 @@ EnumerateStats RunCounting(const BipartiteGraph& g,
   return stats;
 }
 
-EnumerateStats RunCountingLogged(BenchJsonWriter* writer, std::string name,
-                                 const std::string& dataset,
-                                 const BipartiteGraph& g,
-                                 const EnumerateRequest& request) {
-  EnumerateStats stats = RunCounting(g, request);
-  writer->AddRun(std::move(name), dataset, request, stats);
-  return stats;
-}
-
 bool FinishedFirstN(const EnumerateStats& stats, uint64_t max_results) {
   return stats.completed ||
          (max_results != 0 && stats.solutions >= max_results);
@@ -141,103 +129,6 @@ std::string BudgetCell(const EnumerateStats& stats, uint64_t max_results) {
   std::string s = FormatSeconds(stats.seconds);
   if (!finished) s += "*";
   return s;
-}
-
-using json::AppendDouble;
-using json::AppendEscaped;
-
-BenchJsonWriter::BenchJsonWriter(std::string bench_name)
-    : bench_name_(std::move(bench_name)) {
-  const char* dir = std::getenv("KBIPLEX_BENCH_JSON_DIR");
-  path_ = dir != nullptr && dir[0] != '\0' ? std::string(dir) + "/" : "";
-  path_ += "BENCH_" + bench_name_ + ".json";
-}
-
-BenchJsonWriter::~BenchJsonWriter() {
-  if (!written_) Write();
-}
-
-void BenchJsonWriter::Add(Record record) {
-  records_.push_back(std::move(record));
-}
-
-void BenchJsonWriter::AddRun(std::string name, const std::string& dataset,
-                             const EnumerateRequest& request,
-                             const EnumerateStats& stats) {
-  Record r;
-  r.name = std::move(name);
-  r.dataset = dataset;
-  r.algorithm = stats.algorithm.empty() ? request.algorithm
-                                        : stats.algorithm;
-  r.k_left = request.k.left;
-  r.k_right = request.k.right;
-  r.threads = request.threads;
-  r.wall_seconds = stats.seconds;
-  r.solutions = stats.solutions;
-  r.work_units = stats.work_units;
-  r.completed = stats.completed;
-  const TraversalStats* t = nullptr;
-  if (stats.traversal.has_value()) {
-    t = &*stats.traversal;
-  } else if (stats.large_mbp.has_value()) {
-    t = &stats.large_mbp->traversal;
-  }
-  if (t != nullptr) {
-    r.counters.emplace_back("almost_sat_graphs",
-                            static_cast<double>(t->almost_sat_graphs));
-    r.counters.emplace_back("candidates_generated",
-                            static_cast<double>(t->candidates_generated));
-    r.counters.emplace_back("candidates_pruned",
-                            static_cast<double>(t->candidates_pruned));
-    r.counters.emplace_back(
-        "adjacency_tests",
-        static_cast<double>(t->local_stats.adjacency_tests));
-    r.counters.emplace_back("local_solutions",
-                            static_cast<double>(t->local_solutions));
-  }
-  Add(std::move(r));
-}
-
-bool BenchJsonWriter::Write() {
-  written_ = true;
-  std::ostringstream os;
-  os << "{\"bench\":";
-  AppendEscaped(os, bench_name_);
-  os << ",\"schema_version\":1,\"records\":[";
-  for (size_t i = 0; i < records_.size(); ++i) {
-    const Record& r = records_[i];
-    if (i != 0) os << ",";
-    os << "\n{\"name\":";
-    AppendEscaped(os, r.name);
-    os << ",\"dataset\":";
-    AppendEscaped(os, r.dataset);
-    os << ",\"algorithm\":";
-    AppendEscaped(os, r.algorithm);
-    os << ",\"k_left\":" << r.k_left << ",\"k_right\":" << r.k_right
-       << ",\"threads\":" << r.threads << ",\"wall_seconds\":";
-    AppendDouble(os, r.wall_seconds);
-    os << ",\"solutions\":" << r.solutions
-       << ",\"work_units\":" << r.work_units
-       << ",\"completed\":" << (r.completed ? "true" : "false")
-       << ",\"counters\":{";
-    for (size_t c = 0; c < r.counters.size(); ++c) {
-      if (c != 0) os << ",";
-      AppendEscaped(os, r.counters[c].first);
-      os << ":";
-      AppendDouble(os, r.counters[c].second);
-    }
-    os << "}}";
-  }
-  os << "\n]}\n";
-  std::ofstream out(path_);
-  if (!out) {
-    std::fprintf(stderr, "BenchJsonWriter: cannot write %s\n",
-                 path_.c_str());
-    return false;
-  }
-  out << os.str();
-  out.flush();
-  return out.good();
 }
 
 }  // namespace bench

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/enumerator.h"
@@ -74,17 +73,6 @@ EnumerateRequest MakeRequest(const std::string& algorithm, int k,
 EnumerateStats RunCounting(const BipartiteGraph& g,
                            const EnumerateRequest& request);
 
-class BenchJsonWriter;
-
-/// RunCounting plus a machine-readable record: the run is appended to
-/// `writer` (see BenchJsonWriter::AddRun) under the row label `name` and
-/// dataset `dataset`. The standard way a figure harness reports every cell
-/// into its BENCH_*.json.
-EnumerateStats RunCountingLogged(BenchJsonWriter* writer, std::string name,
-                                 const std::string& dataset,
-                                 const BipartiteGraph& g,
-                                 const EnumerateRequest& request);
-
 /// The paper's notion of a finished "first N MBPs" run: the enumeration
 /// completed, or it stopped exactly because the result cap was reached.
 bool FinishedFirstN(const EnumerateStats& stats, uint64_t max_results);
@@ -94,61 +82,6 @@ bool FinishedFirstN(const EnumerateStats& stats, uint64_t max_results);
 /// expired before any output, the runtime otherwise ("*"-suffixed after
 /// partial output).
 std::string BudgetCell(const EnumerateStats& stats, uint64_t max_results);
-
-/// Machine-readable benchmark results: accumulates per-run records and
-/// writes them as `BENCH_<bench-name>.json` so the perf trajectory can be
-/// tracked across commits. The output directory comes from the
-/// KBIPLEX_BENCH_JSON_DIR environment variable (default: the working
-/// directory). Schema:
-///
-///   {"bench": "<name>", "schema_version": 1, "records": [
-///     {"name": "...", "dataset": "...", "algorithm": "...",
-///      "k_left": 1, "k_right": 1, "threads": 1,
-///      "wall_seconds": 0.12, "solutions": 10, "work_units": 42,
-///      "completed": true, "counters": {"adjacency_tests": 1234, ...}},
-///     ...]}
-class BenchJsonWriter {
- public:
-  struct Record {
-    std::string name;       // row label, e.g. "dense/itraversal/accel"
-    std::string dataset;
-    std::string algorithm;
-    int k_left = 1;
-    int k_right = 1;
-    int threads = 1;
-    double wall_seconds = 0;
-    uint64_t solutions = 0;
-    uint64_t work_units = 0;
-    bool completed = true;
-    /// Free-form numeric counters (stats counters, derived ratios, ...).
-    std::vector<std::pair<std::string, double>> counters;
-  };
-
-  explicit BenchJsonWriter(std::string bench_name);
-
-  /// Writes the file on destruction (best effort) unless Write() already
-  /// ran.
-  ~BenchJsonWriter();
-
-  void Add(Record record);
-
-  /// Convenience: builds a record from a facade run, pulling the shared
-  /// stats fields plus the traversal acceleration counters when present.
-  void AddRun(std::string name, const std::string& dataset,
-              const EnumerateRequest& request, const EnumerateStats& stats);
-
-  /// Destination path (directory resolved at construction).
-  const std::string& path() const { return path_; }
-
-  /// Writes the accumulated records; true on success.
-  bool Write();
-
- private:
-  std::string bench_name_;
-  std::string path_;
-  std::vector<Record> records_;
-  bool written_ = false;
-};
 
 }  // namespace bench
 }  // namespace kbiplex

@@ -18,17 +18,13 @@ int main(int argc, char** argv) {
 
   std::cout << "== Extension: asymmetric budgets (k_l, k_r), Opsahl "
                "stand-in, first 1000 MBPs ==\n";
-  BenchJsonWriter writer("ext_asymmetric");
   BipartiteGraph g = MakeDataset(FindDataset("Opsahl"));
   TextTable t({"k_l", "k_r", "time (s)", "#returned"});
   for (int kl = 1; kl <= 2; ++kl) {
     for (int kr = 1; kr <= 3; ++kr) {
       EnumerateRequest req = MakeRequest("itraversal", 1, 1000, budget);
       req.k = KPair{kl, kr};
-      EnumerateStats stats = RunCountingLogged(
-          &writer,
-          "kl=" + std::to_string(kl) + "/kr=" + std::to_string(kr),
-          "Opsahl", g, req);
+      EnumerateStats stats = RunCounting(g, req);
       const bool finished = FinishedFirstN(stats, 1000);
       t.AddRow({std::to_string(kl), std::to_string(kr),
                 finished ? FormatSeconds(stats.seconds)

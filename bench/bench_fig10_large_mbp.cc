@@ -26,9 +26,7 @@ struct Row {
   bool complete_it = false;
 };
 
-Row RunTheta(BenchJsonWriter* writer, const std::string& dataset,
-             const BipartiteGraph& g, int k, size_t theta, double budget) {
-  const std::string row_name = "theta=" + std::to_string(theta);
+Row RunTheta(const BipartiteGraph& g, int k, size_t theta, double budget) {
   Row row;
   // iMB with size pruning on the (θ−k)-core.
   {
@@ -39,9 +37,7 @@ Row RunTheta(BenchJsonWriter* writer, const std::string& dataset,
     EnumerateRequest req = MakeRequest("imb", k, 0, budget);
     req.theta_left = theta;
     req.theta_right = theta;
-    EnumerateStats stats =
-        RunCountingLogged(writer, row_name + "/imb-core", dataset,
-                          core.graph, req);
+    EnumerateStats stats = RunCounting(core.graph, req);
     row.count_imb = stats.solutions;
     row.complete_imb = stats.completed;
     row.imb = stats.completed ? FormatSeconds(stats.seconds) : "INF";
@@ -51,8 +47,7 @@ Row RunTheta(BenchJsonWriter* writer, const std::string& dataset,
     EnumerateRequest req = MakeRequest("large-mbp", k, 0, budget);
     req.theta_left = theta;
     req.theta_right = theta;
-    EnumerateStats stats =
-        RunCountingLogged(writer, row_name + "/large-mbp", dataset, g, req);
+    EnumerateStats stats = RunCounting(g, req);
     row.count_it = stats.solutions;
     row.complete_it = stats.completed;
     row.itraversal =
@@ -66,7 +61,6 @@ Row RunTheta(BenchJsonWriter* writer, const std::string& dataset,
 int main(int argc, char** argv) {
   const bool quick = QuickMode(argc, argv);
   const double budget = RunBudgetSeconds(quick);
-  BenchJsonWriter writer("fig10_large_mbp");
 
   for (const char* name : {"Writer", "DBLP"}) {
     std::cout << "== Figure 10 (" << name
@@ -83,7 +77,7 @@ int main(int argc, char** argv) {
     g = PlantDenseBlock(g, 12, 12, 0.85, &rng);
     TextTable t({"theta", "iMB", "iTraversal", "#large MBPs"});
     for (size_t theta = 4; theta <= 7; ++theta) {
-      Row row = RunTheta(&writer, name, g, 1, theta, budget);
+      Row row = RunTheta(g, 1, theta, budget);
       std::string count;
       if (row.complete_it) {
         count = std::to_string(row.count_it);

@@ -22,14 +22,11 @@ struct Cells {
   std::string seconds;
 };
 
-Cells RunConfig(BenchJsonWriter* writer, const std::string& row,
-                const std::string& dataset, const BipartiteGraph& g,
-                const std::string& algo, int k, double budget,
-                uint64_t max_links) {
+Cells RunConfig(const BipartiteGraph& g, const std::string& algo, int k,
+                double budget, uint64_t max_links) {
   EnumerateRequest req = MakeRequest(algo, k, 0, budget);
   req.max_links = max_links;
-  EnumerateStats stats =
-      RunCountingLogged(writer, row + "/" + algo, dataset, g, req);
+  EnumerateStats stats = RunCounting(g, req);
   const uint64_t links = stats.work_units;  // solution-graph links
   Cells c;
   if (links >= max_links) {
@@ -62,7 +59,6 @@ int main(int argc, char** argv) {
   const bool quick = QuickMode(argc, argv);
   const double budget = RunBudgetSeconds(quick);
   const uint64_t kUpp = quick ? 20'000'000 : 1'000'000'000;
-  BenchJsonWriter writer("fig11_ablation");
 
   std::cout << "== Figure 11(a)(b): solution-graph links and runtime "
                "(k=1) ==\n";
@@ -70,8 +66,7 @@ int main(int argc, char** argv) {
   for (const DatasetSpec& spec : SmallDatasets()) {
     BipartiteGraph g = MakeDataset(spec);
     for (const auto& [name, algo] : Configs()) {
-      Cells c = RunConfig(&writer, "ab/k=1", spec.name, g, algo, 1,
-                          budget, kUpp);
+      Cells c = RunConfig(g, algo, 1, budget, kUpp);
       t.AddRow({spec.name, name, c.links, c.seconds});
     }
   }
@@ -83,8 +78,7 @@ int main(int argc, char** argv) {
   const int kmax = quick ? 3 : 4;
   for (int k = 1; k <= kmax; ++k) {
     for (const auto& [name, algo] : Configs()) {
-      Cells c = RunConfig(&writer, "cd/k=" + std::to_string(k), "Divorce",
-                          divorce, algo, k, budget, kUpp);
+      Cells c = RunConfig(divorce, algo, k, budget, kUpp);
       tk.AddRow({std::to_string(k), name, c.links, c.seconds});
     }
   }

@@ -104,20 +104,6 @@ int main(int argc, char** argv) {
   const bool quick = QuickMode(argc, argv);
   const size_t workloads = quick ? 100 : 1000;
   const int kmax = quick ? 2 : 4;
-  BenchJsonWriter writer("fig12_enumalmostsat");
-  // Variant timings are averages over synthetic almost-satisfying-graph
-  // workloads, not facade runs, so they are recorded as free-form records.
-  auto record = [&writer](const std::string& name, const std::string& ds,
-                          int k, size_t count, double avg_seconds) {
-    BenchJsonWriter::Record r;
-    r.name = name;
-    r.dataset = ds;
-    r.algorithm = "enum-almost-sat";
-    r.k_left = r.k_right = k;
-    r.wall_seconds = avg_seconds;
-    r.counters.emplace_back("workloads", static_cast<double>(count));
-    writer.Add(std::move(r));
-  };
 
   for (const char* name : {"Writer", "DBLP"}) {
     std::cout << "== Figure 12 (" << name
@@ -132,20 +118,14 @@ int main(int argc, char** argv) {
         t.AddRow({std::to_string(k), "-", "-", "-", "-", "-"});
         continue;
       }
-      auto timed = [&](const char* label, LRefinement l, RRefinement rr) {
-        const double avg = TimeVariant(g, work, k, l, rr);
-        record(std::string(label) + "/k=" + std::to_string(k), name, k,
-               work.size(), avg);
-        return FormatSeconds(avg);
+      auto timed = [&](LRefinement l, RRefinement rr) {
+        return FormatSeconds(TimeVariant(g, work, k, l, rr));
       };
       const double inflation_avg = TimeInflation(g, work, k);
-      record("inflation/k=" + std::to_string(k), name, k, work.size(),
-             inflation_avg);
-      t.AddRow({std::to_string(k),
-                timed("l10r10", LRefinement::kL10, RRefinement::kR10),
-                timed("l10r20", LRefinement::kL10, RRefinement::kR20),
-                timed("l20r10", LRefinement::kL20, RRefinement::kR10),
-                timed("l20r20", LRefinement::kL20, RRefinement::kR20),
+      t.AddRow({std::to_string(k), timed(LRefinement::kL10, RRefinement::kR10),
+                timed(LRefinement::kL10, RRefinement::kR20),
+                timed(LRefinement::kL20, RRefinement::kR10),
+                timed(LRefinement::kL20, RRefinement::kR20),
                 FormatSeconds(inflation_avg)});
     }
     t.Print(std::cout);
@@ -163,11 +143,8 @@ int main(int argc, char** argv) {
           MakeRequest("itraversal", k, 1000, RunBudgetSeconds(quick));
       EnumerateRequest right = left;
       right.backend_options["anchored_side"] = "right";
-      const std::string row = "anchored/k=" + std::to_string(k);
-      const double lsec =
-          RunCountingLogged(&writer, row + "/left", name, g, left).seconds;
-      const double rsec =
-          RunCountingLogged(&writer, row + "/right", name, g, right).seconds;
+      const double lsec = RunCounting(g, left).seconds;
+      const double rsec = RunCounting(g, right).seconds;
       ts.AddRow({name, std::to_string(k), FormatSeconds(lsec),
                  FormatSeconds(rsec)});
     }

@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
       "biclique", "1-biplex", "2-biplex", "(a,b)-core",
       "0.01-QB",  "0.1-QB",   "0.2-QB",   "0.3-QB"};
 
-  BenchJsonWriter writer("fig13_fraud");
   std::vector<std::vector<BinaryMetrics>> rows;
   DetectorBudget budget;
   budget.time_budget_seconds = quick ? 10 : 60;
@@ -92,20 +91,6 @@ int main(int argc, char** argv) {
     for (double delta : {0.01, 0.1, 0.2, 0.3}) {
       row.push_back(EvaluateDetection(
           data, DetectByQuasiBiclique(data, delta, theta_l, tr)));
-    }
-    for (size_t d = 0; d < detectors.size(); ++d) {
-      const BinaryMetrics& m = row[d];
-      BenchJsonWriter::Record r;
-      r.name = detectors[d] + "/theta_r=" + std::to_string(tr);
-      r.dataset = "attacked-review-graph";
-      r.algorithm = detectors[d];
-      r.completed = m.defined;
-      if (m.defined) {
-        r.counters.emplace_back("precision", m.precision);
-        r.counters.emplace_back("recall", m.recall);
-        r.counters.emplace_back("f1", m.f1);
-      }
-      writer.Add(std::move(r));
     }
     rows.push_back(std::move(row));
   }

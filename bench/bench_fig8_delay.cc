@@ -29,9 +29,8 @@ std::string DelayCell(const DelayTracker& d, bool completed) {
   return s;
 }
 
-std::string Measure(BenchJsonWriter* writer, const std::string& row,
-                    const std::string& dataset, const BipartiteGraph& g,
-                    const std::string& algo, int k, double budget) {
+std::string Measure(const BipartiteGraph& g, const std::string& algo, int k,
+                    double budget) {
   EnumerateRequest req = MakeRequest(algo, k, kMaxOutputs, budget);
   DelayTracker d;
   d.Start();
@@ -41,19 +40,6 @@ std::string Measure(BenchJsonWriter* writer, const std::string& row,
   });
   EnumerateStats stats = Enumerator(g).Run(req, &sink);
   if (stats.completed) d.Finish();
-  BenchJsonWriter::Record r;
-  r.name = row + "/" + algo;
-  r.dataset = dataset;
-  r.algorithm = stats.algorithm;
-  r.k_left = r.k_right = k;
-  r.wall_seconds = stats.seconds;
-  r.solutions = stats.solutions;
-  r.work_units = stats.work_units;
-  r.completed = stats.completed;
-  if (d.outputs() != 0) {
-    r.counters.emplace_back("max_delay_seconds", d.MaxDelaySeconds());
-  }
-  writer->Add(std::move(r));
   return DelayCell(d, stats.completed);
 }
 
@@ -62,14 +48,13 @@ std::string Measure(BenchJsonWriter* writer, const std::string& row,
 int main(int argc, char** argv) {
   const bool quick = QuickMode(argc, argv);
   const double budget = quick ? 3.0 : 60.0;
-  BenchJsonWriter writer("fig8_delay");
 
   std::cout << "== Figure 8(a): delay on small datasets (k=1) ==\n";
   TextTable ta({"Dataset", "iMB", "FaPlexen", "bTraversal", "iTraversal"});
   for (const DatasetSpec& spec : SmallDatasets()) {
     BipartiteGraph g = MakeDataset(spec);
     auto cell = [&](const std::string& algo) {
-      return Measure(&writer, "a/k=1", spec.name, g, algo, 1, budget);
+      return Measure(g, algo, 1, budget);
     };
     ta.AddRow({spec.name, cell("imb"), cell("inflation"),
                cell("btraversal"), cell("itraversal")});
@@ -81,9 +66,8 @@ int main(int argc, char** argv) {
   TextTable tk({"k", "iMB", "FaPlexen", "bTraversal", "iTraversal"});
   const int kmax = quick ? 3 : 4;
   for (int k = 1; k <= kmax; ++k) {
-    const std::string row = "b/k=" + std::to_string(k);
     auto cell = [&](const std::string& algo) {
-      return Measure(&writer, row, "Divorce", divorce, algo, k, budget);
+      return Measure(divorce, algo, k, budget);
     };
     tk.AddRow({std::to_string(k), cell("imb"), cell("inflation"),
                cell("btraversal"), cell("itraversal")});

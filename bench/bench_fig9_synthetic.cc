@@ -16,12 +16,9 @@ using namespace kbiplex::bench;
 
 namespace {
 
-std::string RunCell(BenchJsonWriter* writer, const std::string& row,
-                    const std::string& dataset, const BipartiteGraph& g,
-                    const std::string& algo, double budget) {
-  EnumerateStats stats =
-      RunCountingLogged(writer, row + "/" + algo, dataset, g,
-                        MakeRequest(algo, 1, 1000, budget));
+std::string RunCell(const BipartiteGraph& g, const std::string& algo,
+                    double budget) {
+  EnumerateStats stats = RunCounting(g, MakeRequest(algo, 1, 1000, budget));
   if (!stats.completed && stats.solutions < 1000 &&
       stats.seconds >= budget) {
     return "INF";
@@ -42,7 +39,6 @@ BipartiteGraph MakeEr(size_t vertices, double density, uint64_t seed) {
 int main(int argc, char** argv) {
   const bool quick = QuickMode(argc, argv);
   const double budget = RunBudgetSeconds(quick);
-  BenchJsonWriter writer("fig9_synthetic");
 
   std::cout << "== Figure 9(a): varying #vertices (ER, density 10, k=1, "
                "first 1000 MBPs) ==\n";
@@ -55,12 +51,8 @@ int main(int argc, char** argv) {
                                                         10'000'000};
   for (size_t n : sizes) {
     BipartiteGraph g = MakeEr(n, 10.0, 42 + n);
-    const std::string ds = "er/n=" + std::to_string(n) + "/d=10";
-    ta.AddRow({std::to_string(n),
-               RunCell(&writer, "a/first1000/k=1", ds, g, "btraversal",
-                       budget),
-               RunCell(&writer, "a/first1000/k=1", ds, g, "itraversal",
-                       budget)});
+    ta.AddRow({std::to_string(n), RunCell(g, "btraversal", budget),
+               RunCell(g, "itraversal", budget)});
   }
   ta.Print(std::cout);
 
@@ -71,13 +63,8 @@ int main(int argc, char** argv) {
   TextTable tb({"density", "bTraversal", "iTraversal"});
   for (double density : {0.1, 1.0, 10.0, 100.0}) {
     BipartiteGraph g = MakeEr(fixed_n, density, 77);
-    const std::string ds =
-        "er/n=" + std::to_string(fixed_n) + "/d=" + FormatDouble(density, 1);
-    tb.AddRow({FormatDouble(density, 1),
-               RunCell(&writer, "b/first1000/k=1", ds, g, "btraversal",
-                       budget),
-               RunCell(&writer, "b/first1000/k=1", ds, g, "itraversal",
-                       budget)});
+    tb.AddRow({FormatDouble(density, 1), RunCell(g, "btraversal", budget),
+               RunCell(g, "itraversal", budget)});
   }
   tb.Print(std::cout);
 

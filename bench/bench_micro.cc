@@ -4,9 +4,6 @@
 // behind the figure-level harnesses.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -170,38 +167,4 @@ BENCHMARK(BM_SortedContains)->Arg(4)->Arg(16)->Arg(64)->Arg(1024);
 }  // namespace
 }  // namespace kbiplex
 
-// Custom main instead of BENCHMARK_MAIN(): console output stays the
-// google-benchmark default, and the run is additionally recorded as
-// machine-readable BENCH_micro.json (KBIPLEX_BENCH_JSON_DIR selects the
-// directory), mirroring the suite-wide BENCH_*.json convention. The JSON
-// file is produced by injecting --benchmark_out before Initialize — the
-// portable mechanism across google-benchmark versions — so an explicit
-// --benchmark_out on the command line wins.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--benchmark_out=", 0) == 0) {
-      has_out = true;
-    }
-  }
-  std::string out_flag;
-  char format_flag[] = "--benchmark_out_format=json";
-  if (!has_out) {
-    const char* dir = std::getenv("KBIPLEX_BENCH_JSON_DIR");
-    std::string path = dir != nullptr && dir[0] != '\0'
-                           ? std::string(dir) + "/BENCH_micro.json"
-                           : "BENCH_micro.json";
-    out_flag = "--benchmark_out=" + path;
-    args.push_back(out_flag.data());
-    args.push_back(format_flag);
-  }
-  int adjusted_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&adjusted_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(adjusted_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -13,21 +13,11 @@ int main(int argc, char** argv) {
   (void)argc;
   (void)argv;
   std::cout << "== Table 1: real datasets and their offline stand-ins ==\n";
-  BenchJsonWriter writer("table1_datasets");
   TextTable t({"Name", "Category", "|L| (paper)", "|R| (paper)",
                "|E| (paper)", "scale", "|L| (ours)", "|R| (ours)",
                "|E| (ours)", "density"});
   for (const DatasetSpec& spec : StandInDatasets()) {
     BipartiteGraph g = MakeDataset(spec);
-    BenchJsonWriter::Record r;
-    r.name = "standin/" + spec.name;
-    r.dataset = spec.name;
-    r.algorithm = "dataset";
-    r.counters.emplace_back("num_left", static_cast<double>(g.NumLeft()));
-    r.counters.emplace_back("num_right", static_cast<double>(g.NumRight()));
-    r.counters.emplace_back("num_edges", static_cast<double>(g.NumEdges()));
-    r.counters.emplace_back("density", g.EdgeDensity());
-    writer.Add(std::move(r));
     t.AddRow({spec.name, spec.category, std::to_string(spec.paper_left),
               std::to_string(spec.paper_right),
               std::to_string(spec.paper_edges),

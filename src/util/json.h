@@ -1,5 +1,5 @@
 // Minimal JSON emission helpers shared by every hand-rolled JSON writer
-// in the library (EnumerateStats::ToJson, the bench BENCH_*.json writer).
+// in the library (EnumerateStats::ToJson, the wire protocol's replies).
 // One implementation keeps the escaping rules and the non-finite-double
 // handling from drifting between emitters.
 #ifndef KBIPLEX_UTIL_JSON_H_

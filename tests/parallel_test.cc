@@ -202,24 +202,18 @@ struct ParallelCase {
 TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
   // Multi-component graphs exercise the component plan where it is safe
   // and the sequential fallback where it is not; the connected graphs
-  // exercise the mask/root-range plans and the fallback. Each graph lists
-  // the thread counts it runs at; the dense single component runs at
-  // 2, 4 and 8 so that every count is pinned to the sequential set.
-  struct AgreementInput {
-    BipartiteGraph graph;
-    std::vector<int> threads;
+  // exercise the mask/root-range plans and the fallback. Every graph runs
+  // at 2, 4 and 8 threads, so that the plan at each count is pinned to the
+  // sequential set.
+  const std::vector<BipartiteGraph> inputs = {
+      DisjointUnion(MakeRandomGraph({4, 4, 0.6, 11}),
+                    MakeRandomGraph({4, 4, 0.7, 12})),
+      DisjointUnion(DisjointUnion(MakeRandomGraph({3, 3, 0.8, 13}),
+                                  MakeRandomGraph({4, 3, 0.5, 14})),
+                    MakeRandomGraph({3, 4, 0.6, 15})),
+      MakeRandomGraph({6, 6, 0.5, 16}),
+      DenseComponent(),
   };
-  std::vector<AgreementInput> inputs;
-  inputs.push_back({DisjointUnion(MakeRandomGraph({4, 4, 0.6, 11}),
-                                  MakeRandomGraph({4, 4, 0.7, 12})),
-                    {4}});
-  inputs.push_back(
-      {DisjointUnion(DisjointUnion(MakeRandomGraph({3, 3, 0.8, 13}),
-                                   MakeRandomGraph({4, 3, 0.5, 14})),
-                     MakeRandomGraph({3, 4, 0.6, 15})),
-       {4}});
-  inputs.push_back({MakeRandomGraph({6, 6, 0.5, 16}), {4}});
-  inputs.push_back({DenseComponent(), {2, 4, 8}});
 
   const std::vector<ParallelCase> cases = {
       {KPair::Uniform(1), 0, 0},  // unsafe for components: fallback path
@@ -231,7 +225,7 @@ TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
   };
   const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
   for (size_t gi = 0; gi < inputs.size(); ++gi) {
-    Enumerator enumerator(inputs[gi].graph);
+    Enumerator enumerator(inputs[gi]);
     for (const ParallelCase& c : cases) {
       for (const std::string& name : registry.Names()) {
         AlgorithmInfo info = *registry.Find(name);
@@ -250,7 +244,7 @@ TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
         std::vector<Biplex> expect = enumerator.Collect(req, &seq_stats);
         ASSERT_TRUE(seq_stats.ok()) << name << ": " << seq_stats.error;
 
-        for (int threads : inputs[gi].threads) {
+        for (int threads : {2, 4, 8}) {
           EnumerateStats par_stats;
           req.threads = threads;
           std::vector<Biplex> got = enumerator.Collect(req, &par_stats);
