@@ -56,15 +56,11 @@ int main(int argc, char** argv) {
     if (core.Empty()) break;
   }
 
-  // Sample maximal k-biplexes. For sampling we want solutions as soon as
-  // they are discovered, so the polynomial-delay output scheduling is
-  // turned off (it defers odd-depth solutions until their DFS subtree
-  // completes).
+  // Sample maximal k-biplexes.
   EnumerateRequest req;
   req.k = KPair::Uniform(k);
   req.max_results = 500;
   req.time_budget_seconds = 5;
-  req.backend_options["polynomial_delay_output"] = "false";
   size_t count = 0;
   size_t best_size = 0;
   Biplex best;

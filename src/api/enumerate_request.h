@@ -16,6 +16,9 @@
 
 namespace kbiplex {
 
+/// Backend-specific knobs, "key" -> "value".
+using BackendOptions = std::map<std::string, std::string>;
+
 /// Everything needed to run one enumeration, independent of the backend.
 struct EnumerateRequest {
   /// Registry name of the backend; see AlgorithmRegistry::Names().
@@ -68,9 +71,9 @@ struct EnumerateRequest {
   /// same cadence as the wall-clock deadline. Not owned; may be null.
   const CancellationToken* cancellation = nullptr;
 
-  /// Backend-specific knobs ("key" -> "value"); unknown keys are rejected
-  /// so typos surface as errors. See the table in api/enumerator.h.
-  std::map<std::string, std::string> backend_options;
+  /// Backend-specific knobs, parsed once per request by the backend's
+  /// factory; unknown keys are rejected. See the table in api/enumerator.h.
+  BackendOptions backend_options;
 };
 
 }  // namespace kbiplex

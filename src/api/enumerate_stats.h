@@ -1,8 +1,7 @@
 // The unified result record of an enumeration run. The shared fields are
-// normalized across the five backend families so harnesses can compare
-// runs without knowing which backend produced them; the original
-// per-backend counters remain available through the optional detail
-// members (at most one is engaged).
+// normalized across backends so harnesses can compare runs without knowing
+// which backend produced them; the original per-backend counters remain
+// available through the optional detail members (at most one is engaged).
 #ifndef KBIPLEX_API_ENUMERATE_STATS_H_
 #define KBIPLEX_API_ENUMERATE_STATS_H_
 
@@ -61,11 +60,10 @@ struct EnumerateStats {
   /// A rejected run: `message` as the error, completed = false.
   static EnumerateStats Rejected(std::string message);
 
-  /// Folds one parallel shard's stats into this accumulator. Counters add
-  /// up; `completed` holds iff every shard completed; detail blocks merge
-  /// field-wise (their `seconds` become aggregate worker seconds).
-  /// `solutions` and the top-level `seconds` are left to the caller, which
-  /// owns the shared delivery count and the wall clock.
+  /// Folds one shard's shared fields into this accumulator: counters add
+  /// up, `completed` holds iff every shard completed. Detail blocks merge
+  /// through AlgorithmBackend::MergeDetail; `solutions` and `seconds` are
+  /// left to the caller, which owns the delivery count and the clock.
   void MergeShard(const EnumerateStats& shard);
 
   /// One-line JSON rendering of the shared fields plus the engaged detail

@@ -22,16 +22,12 @@
 //   inflation         FaPlexen-style graph-inflation baseline   uniform k
 //   brute-force       exhaustive reference enumerator           sides <= 20
 //
-// Backend options (EnumerateRequest::backend_options; unknown keys are
+// Backend options (EnumerateRequest::backend_options; parsed once per
+// request by the backend's module in api/backends/, unknown keys are
 // rejected):
 //
-//   traversal family: "anchored_side"            left | right
-//                     "local_impl"               direct | inflation
-//                     "local_l"                  l10 | l20
-//                     "local_r"                  r10 | r20
-//                     "polynomial_delay_output"  true | false
-//   large-mbp:        "core_reduction"           true | false
-//   inflation:        "max_inflated_edges"       <N>  (0 = no guard)
+//   traversal family: "anchored_side"       left | right
+//   inflation:        "max_inflated_edges"  <N>  (0 = no guard)
 #ifndef KBIPLEX_API_ENUMERATOR_H_
 #define KBIPLEX_API_ENUMERATOR_H_
 

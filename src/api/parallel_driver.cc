@@ -20,18 +20,19 @@ namespace kbiplex {
 namespace internal {
 namespace {
 
-/// The workers' shared delivery point: serializes sink access, counts
-/// delivered solutions with an atomic, and turns a global stop condition
-/// (result cap, sink refusal) into a cancellation visible to every worker.
+/// The one delivery guard between a backend and the caller's sink, for
+/// split and unsplit runs alike: serializes sink access, counts delivered
+/// solutions with an atomic, and turns a global stop condition (result
+/// cap, sink refusal) into a cancellation visible to every shard.
 class SharedDelivery final : public SolutionSink {
  public:
   SharedDelivery(const EnumerateRequest& request, SolutionSink* sink,
                  CancellationToken* stop)
       : request_(request), sink_(sink), stop_(stop) {}
 
-  /// Thread-safe delivery with the same semantics as the sequential
-  /// facade: threshold filter, then sink, then the result cap; a solution
-  /// counts as delivered only once the sink accepted it.
+  /// Thread-safe delivery: threshold filter, then sink, then the result
+  /// cap; a solution counts as delivered only once the sink accepted it,
+  /// so a sink-initiated stop leaves the count at what the sink took.
   bool Accept(const Biplex& b) override {
     if (b.left.size() < request_.theta_left ||
         b.right.size() < request_.theta_right) {
@@ -69,8 +70,8 @@ class SharedDelivery final : public SolutionSink {
   bool stopped_ KBIPLEX_GUARDED_BY(mu_) = false;
 };
 
-/// Collects the first error raised by any worker (engine rejection or a
-/// propagated exception; engines do not throw in normal operation).
+/// Collects the first exception escaping any shard (engines do not throw
+/// in normal operation).
 class ErrorCollector {
  public:
   void Record(const std::string& error) {
@@ -168,7 +169,7 @@ std::vector<Shard> ComponentShards(const PreparedGraph& prepared,
                                    const AlgorithmBackend& backend) {
   if (!ComponentShardingIsSafe(request.k, request.theta_left,
                                request.theta_right) ||
-      !backend.ComponentShardsAllowed(request)) {
+      !backend.ComponentShardsAllowed()) {
     return {};
   }
   // max_links is an engine-internal work counter with no cross-engine
@@ -210,77 +211,25 @@ std::vector<Shard> ComponentShards(const PreparedGraph& prepared,
   return shards;
 }
 
-/// Runs every shard through a fresh backend and folds the shard stats
-/// into one result. One worker runs the shards inline on the calling
-/// thread, in order, with the caller's `scratch`; more run them on a pool
-/// without scratch.
-EnumerateStats RunShards(const PreparedGraph& prepared,
-                         TraversalScratch* scratch,
-                         const EnumerateRequest& request,
-                         const AlgorithmRegistry& registry,
-                         const std::vector<Shard>& shards, size_t threads,
-                         const WallTimer& timer, SolutionSink* sink) {
-  CancellationToken stop(request.cancellation);
-  SharedDelivery delivery(request, sink, &stop);
-  ErrorCollector errors;
-  std::vector<EnumerateStats> shard_stats(shards.size());
-  const bool inline_shards = threads == 1;
-  auto run_shard = [&](size_t i) {
-    const Shard& shard = shards[i];
-    std::unique_ptr<AlgorithmBackend> backend =
-        registry.Create(request.algorithm);
-    EnumerateRequest shard_request = request;
-    shard_request.cancellation = &stop;
-    shard_request.threads = 1;
-    if (!RemainingBudget(request, timer,
-                         &shard_request.time_budget_seconds)) {
-      // A skipped shard still carries the backend's detail block:
-      // otherwise the merged stats' JSON schema would depend on which
-      // shard the expiring budget happened to hit first.
-      shard_stats[i] = backend->NotStartedStats();
-      return;
-    }
-    QueryContext ctx{&prepared, inline_shards ? scratch : nullptr,
-                     shard.begin, shard.end};
-    SolutionSink* out = &delivery;
-    std::shared_ptr<const PreparedGraph> borrowed;
-    std::optional<MappingSink> mapping;
-    if (shard.component != nullptr) {
-      // A component shard wraps its subgraph in a borrowed prepared
-      // graph (no artifacts), so the cached component graphs stay
-      // untouched for the queries that follow.
-      borrowed = PreparedGraph::Borrow(shard.component->graph);
-      ctx.prepared = borrowed.get();
-      out = &mapping.emplace(&delivery, *shard.component);
-    }
-    shard_stats[i] = backend->Run(ctx, shard_request, out);
-    if (!shard_stats[i].error.empty()) {
-      errors.Record(shard_stats[i].error);
-      stop.Cancel();  // identical rejection awaits the other shards
-    }
-  };
-  if (inline_shards) {
-    // The caller's thread delivers every solution, so a sink that is not
-    // thread-compatible keeps its contract.
-    for (size_t i = 0; i < shards.size(); ++i) {
-      RunGuarded(&errors, [&] { run_shard(i); });
-    }
-  } else {
-    ThreadPool pool(std::min(threads, shards.size()));
-    for (size_t i = 0; i < shards.size(); ++i) {
-      pool.Submit([&, i] { RunGuarded(&errors, [&] { run_shard(i); }); });
-    }
-    pool.Wait();
+/// The shards `backend` declares for `request` on `threads` workers;
+/// empty when the request does not split.
+std::vector<Shard> PlanShards(const PreparedGraph& prepared,
+                              const EnumerateRequest& request,
+                              const AlgorithmBackend& backend,
+                              size_t threads) {
+  if (std::optional<RangeDomain> domain =
+          backend.ParallelRange(prepared.graph())) {
+    // Range slices only spread the domain's work over workers, so one
+    // worker runs the domain whole; a one-element domain has nothing to
+    // split.
+    if (threads < 2 || domain->size <= 1) return {};
+    return SplitRange(domain->size, threads * domain->slices_per_thread);
   }
-  if (std::string err = errors.Take(); !err.empty()) {
-    return EnumerateStats::Rejected(std::move(err));
-  }
-
-  EnumerateStats out;
-  for (const EnumerateStats& s : shard_stats) out.MergeShard(s);
-  out.solutions = delivery.delivered();
-  out.seconds = timer.ElapsedSeconds();
-  return out;
+  // Component shards at every worker count: a per-component run never
+  // forms the almost-satisfying graphs that straddle components.
+  // Splitting one component would have to turn off iTraversal's
+  // path-dependent exclusion strategy, which costs more than it gains.
+  return ComponentShards(prepared, request, backend);
 }
 
 }  // namespace
@@ -320,32 +269,81 @@ bool ComponentShardingIsSafe(KPair k, size_t theta_left, size_t theta_right) {
 EnumerateStats RunPlan(const PreparedGraph& prepared,
                        TraversalScratch* scratch,
                        const EnumerateRequest& request,
-                       const AlgorithmRegistry& registry,
-                       AlgorithmBackend& backend, SolutionSink* sink) {
+                       const AlgorithmBackend& backend, SolutionSink* sink) {
   const size_t threads = ResolveThreadCount(request.threads);
   WallTimer timer;
-  std::vector<Shard> shards;
-  if (std::optional<RangeDomain> domain =
-          backend.ParallelRange(prepared.graph())) {
-    // Range slices only spread the domain's work over workers, so one
-    // worker runs the domain whole; a one-element domain has nothing to
-    // split.
-    if (threads >= 2 && domain->size > 1) {
-      shards = SplitRange(domain->size, threads * domain->slices_per_thread);
+  const std::vector<Shard> shards =
+      PlanShards(prepared, request, backend, threads);
+  CancellationToken stop(request.cancellation);
+  SharedDelivery delivery(request, sink, &stop);
+  if (shards.empty()) {
+    // Unsplit: the backend polls the caller's token, exactly as a direct
+    // run; a stop at the guard reaches it through the sink.
+    EnumerateStats out = backend.Run(
+        QueryContext{.prepared = &prepared, .scratch = scratch}, request,
+        &delivery);
+    out.solutions = delivery.delivered();
+    return out;
+  }
+
+  // One worker runs the shards inline on the calling thread, in order,
+  // with the caller's `scratch`; more run them on a pool without scratch.
+  ErrorCollector errors;
+  std::vector<EnumerateStats> shard_stats(shards.size());
+  const bool inline_shards = threads == 1;
+  auto run_shard = [&](size_t i) {
+    const Shard& shard = shards[i];
+    EnumerateRequest shard_request = request;
+    shard_request.cancellation = &stop;
+    shard_request.threads = 1;
+    if (!RemainingBudget(request, timer,
+                         &shard_request.time_budget_seconds)) {
+      // No detail block: MergeDetail still engages the backend's block
+      // for this shard, so the merged stats' JSON schema does not depend
+      // on which shard the expiring budget happened to hit first.
+      shard_stats[i].completed = false;
+      return;
+    }
+    QueryContext ctx{&prepared, inline_shards ? scratch : nullptr,
+                     shard.begin, shard.end};
+    SolutionSink* out = &delivery;
+    std::shared_ptr<const PreparedGraph> borrowed;
+    std::optional<MappingSink> mapping;
+    if (shard.component != nullptr) {
+      // A component shard wraps its subgraph in a borrowed prepared
+      // graph (no artifacts), so the cached component graphs stay
+      // untouched for the queries that follow.
+      borrowed = PreparedGraph::Borrow(shard.component->graph);
+      ctx.prepared = borrowed.get();
+      out = &mapping.emplace(&delivery, *shard.component);
+    }
+    shard_stats[i] = backend.Run(ctx, shard_request, out);
+  };
+  if (inline_shards) {
+    // The caller's thread delivers every solution, so a sink that is not
+    // thread-compatible keeps its contract.
+    for (size_t i = 0; i < shards.size(); ++i) {
+      RunGuarded(&errors, [&] { run_shard(i); });
     }
   } else {
-    // Component shards at every worker count: a per-component run never
-    // forms the almost-satisfying graphs that straddle components.
-    // Splitting one component would have to turn off iTraversal's
-    // path-dependent exclusion strategy, which costs more than it gains.
-    shards = ComponentShards(prepared, request, backend);
+    ThreadPool pool(std::min(threads, shards.size()));
+    for (size_t i = 0; i < shards.size(); ++i) {
+      pool.Submit([&, i] { RunGuarded(&errors, [&] { run_shard(i); }); });
+    }
+    pool.Wait();
   }
-  if (shards.empty()) {
-    return backend.Run(QueryContext{.prepared = &prepared, .scratch = scratch},
-                       request, sink);
+  if (std::string err = errors.Take(); !err.empty()) {
+    return EnumerateStats::Rejected(std::move(err));
   }
-  return RunShards(prepared, scratch, request, registry, shards, threads,
-                   timer, sink);
+
+  EnumerateStats out;
+  for (const EnumerateStats& s : shard_stats) {
+    out.MergeShard(s);
+    backend.MergeDetail(s, &out);
+  }
+  out.solutions = delivery.delivered();
+  out.seconds = timer.ElapsedSeconds();
+  return out;
 }
 
 }  // namespace internal

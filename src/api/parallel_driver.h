@@ -31,14 +31,14 @@
 // A request that does not split runs the backend once, exactly as a direct
 // run. With one worker the shards run inline on the calling thread, so the
 // sink sees every solution from that thread; with more they run on a pool.
-// Shard stats fold through EnumerateStats::MergeShard; a shard the time
-// budget expired before contributes the backend's NotStartedStats.
+// Every shard runs on the request's one configured backend; shard stats
+// fold through EnumerateStats::MergeShard and the backend's MergeDetail.
 //
-// Global budgets stay global: shards share one Delivery guarding the
-// caller's sink with a mutex and counting delivered solutions atomically;
-// reaching max_results (or a sink refusal) fires a driver-owned
-// CancellationToken chained to the caller's token, stopping every shard
-// at its next poll point.
+// One delivery guard wraps the caller's sink, split or not: it applies the
+// size thresholds and max_results, serializes sink access and counts
+// delivered solutions. Reaching max_results (or a sink refusal) fires a
+// driver-owned CancellationToken chained to the caller's token, stopping
+// every shard at its next poll point.
 #ifndef KBIPLEX_API_PARALLEL_DRIVER_H_
 #define KBIPLEX_API_PARALLEL_DRIVER_H_
 
@@ -68,17 +68,16 @@ bool ComponentShardingIsSafe(KPair k, size_t theta_left, size_t theta_right);
 
 /// Runs `request` against `prepared.graph()` through `backend`'s plan:
 /// range slices or component shards when the backend declares a split
-/// that applies (see the file comment), each shard on a fresh backend from
-/// `registry`; otherwise one `backend.Run` with `scratch`, exactly like a
-/// direct run. Component shards consume the prepared graph's cached
-/// component labeling and subgraphs instead of recomputing them per run.
-/// Pre-conditions: the request passed facade validation for its algorithm
-/// and request.threads >= 0.
+/// that applies (see the file comment); otherwise one `backend.Run` with
+/// `scratch`, exactly like a direct run. Component shards consume the
+/// prepared graph's cached component labeling and subgraphs instead of
+/// recomputing them per run. Pre-conditions: the request passed facade
+/// validation, `backend` was configured from its backend_options, and
+/// request.threads >= 0.
 EnumerateStats RunPlan(const PreparedGraph& prepared,
                        TraversalScratch* scratch,
                        const EnumerateRequest& request,
-                       const AlgorithmRegistry& registry,
-                       AlgorithmBackend& backend, SolutionSink* sink);
+                       const AlgorithmBackend& backend, SolutionSink* sink);
 
 }  // namespace internal
 }  // namespace kbiplex

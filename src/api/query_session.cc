@@ -54,6 +54,7 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
   }
 
   const BipartiteGraph& g = prepared.graph();
+  ConfiguredBackend configured = registry.Create(name, request.backend_options);
   EnumerateStats out;
   if (request.k.left < 1 || request.k.right < 1) {
     out = EnumerateStats::Rejected("disconnection budgets must be >= 1");
@@ -86,24 +87,22 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
     out = EnumerateStats::Rejected(
         "algorithm '" + name + "' supports at most " +
         std::to_string(info->max_side) + " vertices per side");
+  } else if (configured.backend == nullptr) {
+    out = EnumerateStats::Rejected(std::move(configured.error));
   } else if (Cancelled(request.cancellation)) {
     out.completed = false;
     out.cancelled = true;
-  } else if (!prepared.borrowed() && request.backend_options.empty() &&
-             CoreBoundProvesEmpty(prepared, request)) {
+  } else if (!prepared.borrowed() && CoreBoundProvesEmpty(prepared, request)) {
     // Provably empty result set: answer from the cached core bound without
-    // touching a backend. Restricted to option-free requests so a request
-    // with a bad backend option is still rejected, exactly like a run —
-    // and to owned graphs, so the one-shot paths (which Borrow) keep the
-    // pre-session stats (backend counters and all) byte for byte and
-    // never pay the core-bound build.
+    // running the backend. Restricted to owned graphs, so the one-shot
+    // paths (which Borrow) keep the pre-session stats (backend counters
+    // and all) byte for byte and never pay the core-bound build.
     WallTimer timer;
     if (short_circuited != nullptr) *short_circuited = true;
     out.completed = true;
     out.seconds = timer.ElapsedSeconds();
   } else {
-    std::unique_ptr<AlgorithmBackend> backend = registry.Create(name);
-    out = RunPlan(prepared, scratch, request, registry, *backend, sink);
+    out = RunPlan(prepared, scratch, request, *configured.backend, sink);
     if (!out.ok()) out.completed = false;
     if (!out.completed && Cancelled(request.cancellation)) {
       out.cancelled = true;

@@ -84,7 +84,8 @@ namespace internal {
 
 /// The one execution path behind QuerySession::Run and the Enumerate
 /// compatibility shim: validates `request` against the backend's
-/// capabilities and the sink's threading contract, applies the cached
+/// capabilities and the sink's threading contract, configures the backend
+/// from its backend_options (rejecting bad ones), applies the cached
 /// core-bound short-circuit, and runs the backend's shard plan
 /// (api/parallel_driver.h).
 /// `scratch` may be null (per-run scratch); `short_circuited` (optional)

@@ -45,16 +45,18 @@ std::optional<AlgorithmInfo> AlgorithmRegistry::Find(
   return it->second.info;
 }
 
-std::unique_ptr<AlgorithmBackend> AlgorithmRegistry::Create(
-    const std::string& name) const {
+ConfiguredBackend AlgorithmRegistry::Create(
+    const std::string& name, const BackendOptions& options) const {
   AlgorithmFactory factory;
   {
     MutexLock lock(&mu_);
     auto it = entries_.find(NormalizeAlgorithmName(name));
-    if (it == entries_.end()) return nullptr;
+    if (it == entries_.end()) {
+      return {nullptr, "unknown algorithm '" + name + "'"};
+    }
     factory = it->second.factory;
   }
-  return factory();
+  return factory(options);
 }
 
 std::vector<std::string> AlgorithmRegistry::Names() const {

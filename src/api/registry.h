@@ -1,8 +1,8 @@
-// String-keyed registry of enumeration backends. Every backend — the
-// traversal family, the baselines, brute force — registers a factory under
-// a stable name; the CLI, benches, examples, and tests dispatch through
-// the registry instead of hard-coding backend entry points. Adding a
-// backend is one Register() call.
+// String-keyed registry of enumeration backends. Every backend registers,
+// from its module in api/backends/, a factory that configures it once per
+// request; the CLI, benches, examples, and tests dispatch through the
+// registry instead of hard-coding backend entry points. Adding a backend
+// is one Register() call.
 #ifndef KBIPLEX_API_REGISTRY_H_
 #define KBIPLEX_API_REGISTRY_H_
 
@@ -49,25 +49,22 @@ struct RangeDomain {
   uint64_t slices_per_thread = 1;
 };
 
-/// One enumeration backend behind the unified API. Implementations apply
-/// the request to their native options struct, run, and normalize their
-/// native counters into EnumerateStats. Instances are single-use: the
-/// registry creates a fresh backend per run.
+/// One enumeration backend behind the unified API, configured for one
+/// request's backend_options. Every shard of a split run executes on the
+/// same instance, so Run is const and may run concurrently.
 class AlgorithmBackend {
  public:
   virtual ~AlgorithmBackend() = default;
 
-  /// Runs the enumeration against ctx.prepared's graph,
-  /// delivering solutions to `sink`. Shared request validation (asymmetric
-  /// budgets, thresholds, graph size) has already happened; implementations
-  /// still reject unknown backend_options keys.
+  /// Runs the enumeration against ctx.prepared's graph, handing every
+  /// solution to `sink`: the plan's delivery guard, which applies the size
+  /// thresholds and max_results and counts delivered solutions (so
+  /// `solutions` is left to the plan). The request is already validated.
   virtual EnumerateStats Run(const QueryContext& ctx,
                              const EnumerateRequest& request,
-                             SolutionSink* sink) = 0;
+                             SolutionSink* sink) const = 0;
 
-  // Parallel split (api/parallel_driver.h). The driver runs every shard
-  // through Run on a fresh backend and folds the shard stats with
-  // EnumerateStats::MergeShard.
+  // Parallel split (api/parallel_driver.h).
 
   /// The backend's range domain on `g`, or nullopt if it declares none
   /// (the driver then tries component shards). Runs over the slices of any
@@ -79,22 +76,22 @@ class AlgorithmBackend {
     return std::nullopt;
   }
 
-  /// False iff running `request` per component would change its meaning
+  /// False iff running per component would change the request's meaning
   /// even where the size thresholds make component shards equivalent (a
   /// per-run guard that every shard would otherwise get in full).
-  virtual bool ComponentShardsAllowed(
-      const EnumerateRequest& /*request*/) const {
-    return true;
-  }
+  virtual bool ComponentShardsAllowed() const { return true; }
 
-  /// Stats of a shard the time budget expired before: incomplete, with the
-  /// backend's detail block engaged and empty, so a truncated parallel run
-  /// keeps the stats schema of every other run of the backend.
-  virtual EnumerateStats NotStartedStats() const {
-    EnumerateStats out;
-    out.completed = false;
-    return out;
-  }
+  /// Folds `shard`'s detail block into `into`'s, engaging it. A shard the
+  /// time budget expired before has no block and marks the merged one
+  /// incomplete, so a truncated split run keeps the backend's stats schema.
+  virtual void MergeDetail(const EnumerateStats& /*shard*/,
+                           EnumerateStats* /*into*/) const {}
+};
+
+/// A factory's result: the configured backend, or null and the rejection.
+struct ConfiguredBackend {
+  std::unique_ptr<const AlgorithmBackend> backend;
+  std::string error;
 };
 
 /// Capabilities and documentation of a registered backend, used by the
@@ -113,7 +110,8 @@ struct AlgorithmInfo {
   size_t max_side = 0;
 };
 
-using AlgorithmFactory = std::function<std::unique_ptr<AlgorithmBackend>()>;
+using AlgorithmFactory =
+    std::function<ConfiguredBackend(const BackendOptions& options)>;
 
 /// Thread-safe name -> backend-factory map.
 class AlgorithmRegistry {
@@ -133,8 +131,10 @@ class AlgorithmRegistry {
   std::optional<AlgorithmInfo> Find(const std::string& name) const
       KBIPLEX_EXCLUDES(mu_);
 
-  /// Creates a fresh backend, or null if `name` is unknown.
-  std::unique_ptr<AlgorithmBackend> Create(const std::string& name) const
+  /// The backend of `name` configured with `options`, or the rejection of
+  /// an unknown name or of the options.
+  ConfiguredBackend Create(const std::string& name,
+                           const BackendOptions& options) const
       KBIPLEX_EXCLUDES(mu_);
 
   /// All registered names, sorted.
@@ -158,7 +158,8 @@ class AlgorithmRegistry {
 std::string NormalizeAlgorithmName(const std::string& name);
 
 namespace internal {
-/// Registers the eight built-in backends; called once by Global().
+/// Registers the eight built-in backends from their modules
+/// (api/backends/backends.h); called once by Global().
 void RegisterBuiltinAlgorithms(AlgorithmRegistry* registry);
 }  // namespace internal
 

@@ -244,19 +244,29 @@ TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
         std::vector<Biplex> expect = enumerator.Collect(req, &seq_stats);
         ASSERT_TRUE(seq_stats.ok()) << name << ": " << seq_stats.error;
 
-        for (int threads : {2, 4, 8}) {
-          EnumerateStats par_stats;
-          req.threads = threads;
-          std::vector<Biplex> got = enumerator.Collect(req, &par_stats);
-          ASSERT_TRUE(par_stats.ok()) << name << ": " << par_stats.error;
-          EXPECT_EQ(par_stats.solutions, seq_stats.solutions) << name;
-          EXPECT_TRUE(par_stats.completed) << name;
-          ASSERT_EQ(got, expect)
-              << name << " threads=" << threads << " graph=" << gi << " k=("
-              << c.k.left << "," << c.k.right << ") theta=(" << c.theta_left
-              << "," << c.theta_right << ")\ngot:\n"
-              << ToString(got) << "want:\n"
-              << ToString(expect);
+        // max_inflated_edges=0 is no guard, so it leaves inflation free to
+        // split by component, and the set must not change.
+        std::vector<BackendOptions> variants = {{}};
+        if (name == "inflation") {
+          variants.push_back({{"max_inflated_edges", "0"}});
+        }
+        for (const BackendOptions& options : variants) {
+          req.backend_options = options;
+          for (int threads : {2, 4, 8}) {
+            EnumerateStats par_stats;
+            req.threads = threads;
+            std::vector<Biplex> got = enumerator.Collect(req, &par_stats);
+            ASSERT_TRUE(par_stats.ok()) << name << ": " << par_stats.error;
+            EXPECT_EQ(par_stats.solutions, seq_stats.solutions) << name;
+            EXPECT_TRUE(par_stats.completed) << name;
+            ASSERT_EQ(got, expect)
+                << name << " options=" << options.size()
+                << " threads=" << threads << " graph=" << gi << " k=("
+                << c.k.left << "," << c.k.right << ") theta=(" << c.theta_left
+                << "," << c.theta_right << ")\ngot:\n"
+                << ToString(got) << "want:\n"
+                << ToString(expect);
+          }
         }
       }
     }

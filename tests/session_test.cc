@@ -222,17 +222,27 @@ TEST(QuerySessionTest, PreparedSessionMatchesSeedForAllAlgorithms) {
 
 // ------------------------------------------------------- unsplit requests --
 
-/// The solutions of one backend run on `g`, in emission order.
+/// The solutions of one backend run on `g` that meet the request's size
+/// thresholds (the delivery guard's filter), in emission order.
 std::vector<Biplex> DirectBackendRun(const BipartiteGraph& g,
                                      const EnumerateRequest& req) {
   auto borrowed = PreparedGraph::Borrow(g);
-  CollectingSink sink(/*sorted=*/false);
-  EnumerateStats stats = AlgorithmRegistry::Global()
-                             .Create(req.algorithm)
-                             ->Run(QueryContext{.prepared = borrowed.get()},
-                                   req, &sink);
-  EXPECT_TRUE(stats.ok()) << req.algorithm << ": " << stats.error;
-  return sink.Take();
+  ConfiguredBackend configured =
+      AlgorithmRegistry::Global().Create(req.algorithm, req.backend_options);
+  std::vector<Biplex> out;
+  if (configured.backend == nullptr) {
+    ADD_FAILURE() << req.algorithm << ": " << configured.error;
+    return out;
+  }
+  CallbackSink sink([&](const Biplex& b) {
+    if (b.left.size() >= req.theta_left && b.right.size() >= req.theta_right) {
+      out.push_back(b);
+    }
+    return true;
+  });
+  configured.backend->Run(QueryContext{.prepared = borrowed.get()}, req,
+                          &sink);
+  return out;
 }
 
 // A request the plan does not split runs the backend once, exactly as a
@@ -382,11 +392,12 @@ TEST(QuerySessionTest, CoreBoundAnswersImpossibleThresholdsInstantly) {
   EXPECT_TRUE(stats.completed);
   EXPECT_EQ(session.short_circuits(), 1u);
 
-  // A request with backend options skips the shortcut so option typos are
-  // still rejected.
+  // An option typo is rejected before the shortcut.
   req.backend_options["no_such_option"] = "1";
-  stats = EnumerateStats();
-  session.Run(req, [](const Biplex&) { return true; });
+  stats = session.Run(req, [](const Biplex&) { return true; });
+  EXPECT_FALSE(stats.ok());
+  EXPECT_NE(stats.error.find("no_such_option"), std::string::npos)
+      << stats.error;
   EXPECT_EQ(session.short_circuits(), 1u);
   req.backend_options.clear();
 
