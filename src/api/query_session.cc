@@ -54,7 +54,6 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
   }
 
   const BipartiteGraph& g = prepared.graph();
-  ConfiguredBackend configured = registry.Create(name, request.backend_options);
   EnumerateStats out;
   if (request.k.left < 1 || request.k.right < 1) {
     out = EnumerateStats::Rejected("disconnection budgets must be >= 1");
@@ -87,7 +86,11 @@ EnumerateStats RunOnPrepared(const PreparedGraph& prepared,
     out = EnumerateStats::Rejected(
         "algorithm '" + name + "' supports at most " +
         std::to_string(info->max_side) + " vertices per side");
-  } else if (configured.backend == nullptr) {
+  } else if (ConfiguredBackend configured =
+                 registry.Create(name, request.backend_options);
+             configured.backend == nullptr) {
+    // Configured only once the request passed every check above; the
+    // later branches keep `configured` in scope.
     out = EnumerateStats::Rejected(std::move(configured.error));
   } else if (Cancelled(request.cancellation)) {
     out.completed = false;

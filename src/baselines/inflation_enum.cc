@@ -80,7 +80,6 @@ InflationBaselineStats InflationEngine::Run(
   InflatedGraph inflated = Inflate(g_);
   KPlexEnumOptions kopts;
   kopts.p = opts_.k + 1;
-  kopts.max_results = opts_.max_results;
   kopts.time_budget_seconds = opts_.time_budget_seconds;
   kopts.cancel = opts_.cancel;
   KPlexEnumStats ks = EnumerateMaximalKPlexes(

@@ -37,7 +37,6 @@ inline bool EnumAlmostSatByInflation(const BipartiteGraph& g,
 /// Options of the global inflation baseline.
 struct InflationBaselineOptions {
   int k = 1;
-  uint64_t max_results = 0;
   double time_budget_seconds = 0;
   /// Refuse to inflate beyond this many edges, mimicking the paper's OUT
   /// (out-of-memory) outcome for FaPlexen on large graphs. 0 = no guard.

@@ -18,6 +18,7 @@
 #include "api/query_session.h"
 #include "graph/components.h"
 #include "graph/generators.h"
+#include "graph/inflation.h"
 #include "test_support.h"
 #include "util/json_value.h"
 #include "util/thread_pool.h"
@@ -245,10 +246,16 @@ TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
         ASSERT_TRUE(seq_stats.ok()) << name << ": " << seq_stats.error;
 
         // max_inflated_edges=0 is no guard, so it leaves inflation free to
-        // split by component, and the set must not change.
+        // split by component, and the set must not change. A guard the
+        // whole graph passes keeps the run in one piece: per-component
+        // shards would each pass a guard meant for the whole inflation.
+        const size_t whole_inflation = InflatedEdgeCount(inputs[gi]);
+        const BackendOptions guarded = {
+            {"max_inflated_edges", std::to_string(whole_inflation)}};
         std::vector<BackendOptions> variants = {{}};
         if (name == "inflation") {
           variants.push_back({{"max_inflated_edges", "0"}});
+          variants.push_back(guarded);
         }
         for (const BackendOptions& options : variants) {
           req.backend_options = options;
@@ -259,6 +266,12 @@ TEST(ParallelAgreement, EveryAlgorithmMatchesSequentialSet) {
             ASSERT_TRUE(par_stats.ok()) << name << ": " << par_stats.error;
             EXPECT_EQ(par_stats.solutions, seq_stats.solutions) << name;
             EXPECT_TRUE(par_stats.completed) << name;
+            if (options == guarded) {
+              ASSERT_TRUE(par_stats.inflation.has_value());
+              EXPECT_EQ(par_stats.inflation->inflated_edges, whole_inflation)
+                  << "guarded inflation split, threads=" << threads
+                  << " graph=" << gi;
+            }
             ASSERT_EQ(got, expect)
                 << name << " options=" << options.size()
                 << " threads=" << threads << " graph=" << gi << " k=("
