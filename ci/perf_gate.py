@@ -22,6 +22,9 @@ the drift over both sides. It prints one table and exits 1 when
     the parent's;
   - a (workload, metric) reads `worse`.
 
+For a failed run it prints, to stderr, the harness's `# FAILED:` lines,
+run.py's `run.py:` lines and the last 40 stderr lines.
+
 A metric whose parent runs spread wider than its bound (q3 - q1 above
 bound x median) reads `unresolved`: a median test would pass or fail at
 random on it. It reads `worse` only when every head run is worse than
@@ -147,13 +150,24 @@ def print_table(rows):
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
+def failure_report(stdout, stderr):
+    """What a failed run printed about its failure: the harness's
+    `# FAILED:` lines (stdout), run.py's own `run.py:` lines (stderr), then
+    the last 40 stderr lines (build or crash output) not already shown."""
+    reasons = [l for l in stdout.splitlines() if l.startswith("# FAILED:")]
+    reasons += [l for l in stderr.splitlines() if l.startswith("run.py:")]
+    shown = set(reasons)
+    tail = [l for l in stderr.splitlines()[-40:] if l not in shown]
+    return "".join(l + "\n" for l in reasons + tail)
+
+
 def run_once(checkout, workload, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
            str(SEED), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     run = parse_run(proc.returncode, proc.stdout)
     if not run["ok"]:
-        sys.stderr.write("".join(proc.stderr.splitlines(True)[-40:]))
+        sys.stderr.write(failure_report(proc.stdout, proc.stderr))
     return run
 
 
@@ -233,6 +247,16 @@ def self_test():
     expect("wide spread, every head run worse", [line(setup_s=v + 3) for v in wide], True,
            {"setup_s": "worse"}, [line(setup_s=v) for v in wide])
     expect("no result line", steady[:-1] + [(1, "# stamp\nnot json")], True, {})
+    # A failed run's reasons survive a long stderr tail after them.
+    report = failure_report(
+        "# stamp\n# FAILED: query 7 answer digest differs\n" + steady[0],
+        "run.py: exact counters differ\n" + "".join("build %d\n" % i for i in range(60)))
+    for want in ("# FAILED: query 7 answer digest differs", "run.py: exact counters differ",
+                 "build 59"):
+        if want not in report.splitlines():
+            failures.append("failure report: %r missing from %r" % (want, report))
+    if "build 19" in report.splitlines():
+        failures.append("failure report: kept more than the last 40 stderr lines")
     if failures:
         print("SELF-TEST FAILED")
         for f in failures:
@@ -241,7 +265,8 @@ def self_test():
     print("self-test passed: identical runs pass; a 30% higher enum_rel, an "
           "incorrect run, a non-zero exit, a higher failed share and a missing "
           "result line fail; a wide-spread metric reads unresolved unless every "
-          "head run is worse")
+          "head run is worse; a failed run's report keeps its # FAILED and run.py "
+          "lines")
     return 0
 
 

@@ -2,19 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace kbiplex {
 namespace {
 
 /// All state of one EnumAlmostSat invocation. A is the anchored side (the
 /// side of v), B the opposite side. Scratch vectors live in the (possibly
-/// caller-owned) workspace so repeated invocations reuse their capacity.
+/// caller-owned) workspace so repeated invocations reuse their capacity;
+/// every adjacency question inside H is answered from H's non-adjacency
+/// record.
 class AlmostSatEnumerator {
  public:
   AlmostSatEnumerator(const BipartiteGraph& g, const Biplex& h, Side v_side,
                       VertexId v, KPair k, const EnumAlmostSatOptions& opts,
                       LocalSolutionCallback cb, EnumAlmostSatStats* stats)
       : g_(g),
+        h_(h),
+        k_(k),
         v_side_(v_side),
         v_(v),
         ka_(static_cast<size_t>(k.ForSide(v_side))),
@@ -24,10 +29,17 @@ class AlmostSatEnumerator {
         stats_(stats),
         a_(h.SideSet(v_side)),
         b_(h.SideSet(Opposite(v_side))),
-        ws_(opts.workspace != nullptr ? *opts.workspace : local_ws_) {}
+        ws_(opts.workspace != nullptr ? *opts.workspace : local_ws_),
+        rec_(opts.non_adjacency != nullptr ? *opts.non_adjacency
+                                           : ws_.non_adjacency) {}
 
   /// Runs the enumeration; false iff the callback stopped it.
   bool Run() {
+    if (opts_.non_adjacency == nullptr || !rec_.built()) {
+      adj_tests_ += rec_.Build(g_, h_, k_);
+    }
+    assert(rec_.NumMembers(v_side_) == a_.size() &&
+           rec_.NumMembers(Opposite(v_side_)) == b_.size());
     Prepare();
     bool go = RunSubsets();
     if (stats_ != nullptr) stats_->adjacency_tests += adj_tests_;
@@ -35,10 +47,13 @@ class AlmostSatEnumerator {
   }
 
  private:
-  /// Edge test between A-side vertex `a` and B-side vertex `u`.
-  bool Adjacent(VertexId a, VertexId u) {
-    ++adj_tests_;
-    return g_.IsAdjacent(v_side_, a, u);
+  /// Non-neighbours of A[j] in B, as indices into B.
+  std::span<const uint32_t> NonNeighborsOfA(size_t j) const {
+    return rec_.Of(v_side_, j);
+  }
+  /// Non-neighbours of B[i] in A, as indices into A.
+  std::span<const uint32_t> NonNeighborsOfB(size_t i) const {
+    return rec_.Of(Opposite(v_side_), i);
   }
 
   bool RunSubsets() {
@@ -64,32 +79,27 @@ class AlmostSatEnumerator {
     return true;
   }
 
-  /// Partitions B into B_keep / B1 / B2 and precomputes disconnection
-  /// counters (the O(|A|·|B|) preprocessing of Algorithm 3, line 1).
+  /// Partitions B into B_keep / B1 / B2 by one merge of Γ(v) with B; the
+  /// counts δ̄(u, A) are the record's list sizes.
   void Prepare() {
-    ws_.b_keep.clear();
     ws_.b1.clear();
     ws_.b2.clear();
     ws_.excluded_a_idx.clear();
-    ws_.disc_a_of_b.resize(b_.size());
     ws_.v_adj_b.resize(b_.size());
-    for (size_t i = 0; i < b_.size(); ++i) {
-      const VertexId u = b_[i];
-      ws_.disc_a_of_b[i] = g_.DiscCount(Opposite(v_side_), u, a_);
-      assert(ws_.disc_a_of_b[i] <= kb_);  // (A, B) is a k-biplex
-      ws_.v_adj_b[i] = Adjacent(v_, u);
-      if (ws_.v_adj_b[i]) {
-        ws_.b_keep.push_back(u);
-      } else if (ws_.disc_a_of_b[i] <= kb_ - 1) {
-        ws_.b1.push_back(i);  // store index into B
+    ws_.in_bpp.assign(b_.size(), 0);
+    ws_.in_abar.assign(a_.size(), 0);
+    b_keep_size_ = 0;
+    adj_tests_ += b_.size();
+    g_.ForEachAdjacency(v_side_, v_, b_, [&](size_t i, bool adjacent) {
+      ws_.v_adj_b[i] = adjacent;
+      if (adjacent) {
+        ++b_keep_size_;
+      } else if (NonNeighborsOfB(i).size() < kb_) {
+        ws_.b1.push_back(i);
       } else {
         ws_.b2.push_back(i);
       }
-    }
-    ws_.disc_keep_of_a.resize(a_.size());
-    for (size_t j = 0; j < a_.size(); ++j) {
-      ws_.disc_keep_of_a[j] = g_.DiscCount(v_side_, a_[j], ws_.b_keep);
-    }
+    });
     if (opts_.excluded_anchored != nullptr &&
         opts_.excluded_anchored->size() != 0) {
       for (size_t j = 0; j < a_.size(); ++j) {
@@ -108,31 +118,25 @@ class AlmostSatEnumerator {
         opts_.deadline->Expired()) {
       return false;  // abort: the engine re-checks its own budget
     }
-    // Materialize B'' (ids) and B''_2 (ids), both sorted.
-    ws_.bpp.clear();
+    // |B'| = |B_keep| + |B''|: v is adjacent to none of B''.
+    bpp_size_ = c1.size() + c2.size();
+    if (b_keep_size_ + bpp_size_ < opts_.min_b_size) {
+      return true;  // Section 5 prune
+    }
     ws_.bpp2.clear();
-    for (size_t i : c1) ws_.bpp.push_back(b_[ws_.b1[i]]);
-    for (size_t i : c2) {
-      ws_.bpp.push_back(b_[ws_.b2[i]]);
-      ws_.bpp2.push_back(b_[ws_.b2[i]]);
-    }
-    std::sort(ws_.bpp.begin(), ws_.bpp.end());
-    // B' = B_keep ∪ B''.
-    ws_.bp.clear();
-    std::set_union(ws_.b_keep.begin(), ws_.b_keep.end(), ws_.bpp.begin(),
-                   ws_.bpp.end(), std::back_inserter(ws_.bp));
-    if (ws_.bp.size() < opts_.min_b_size) return true;  // Section 5 prune
+    for (size_t c : c2) ws_.bpp2.push_back(ws_.b2[c]);
 
-    // A_remo: members of A disconnected from at least one vertex of B''_2
-    // (indices into A). Removal sets are bounded by |B''_2| (Lemma 4.3).
+    // A_remo: members of A disconnected from at least one vertex of B''_2,
+    // the union of their non-neighbour lists (indices into A). Removal
+    // sets are bounded by |B''_2| (Lemma 4.3).
     ws_.a_remo.clear();
-    if (!ws_.bpp2.empty()) {
-      for (size_t j = 0; j < a_.size(); ++j) {
-        if (g_.ConnCount(v_side_, a_[j], ws_.bpp2) < ws_.bpp2.size()) {
-          ws_.a_remo.push_back(j);
-        }
-      }
+    for (size_t i : ws_.bpp2) {
+      std::span<const uint32_t> nn = NonNeighborsOfB(i);
+      ws_.a_remo.insert(ws_.a_remo.end(), nn.begin(), nn.end());
     }
+    std::sort(ws_.a_remo.begin(), ws_.a_remo.end());
+    ws_.a_remo.erase(std::unique(ws_.a_remo.begin(), ws_.a_remo.end()),
+                     ws_.a_remo.end());
     // Exclusion-driven required removals: every excluded A-member must be
     // removed, or all local solutions of this B'' retain it and would be
     // pruned by the traversal's exclusion strategy anyway.
@@ -150,6 +154,20 @@ class AlmostSatEnumerator {
     std::set_difference(ws_.a_remo.begin(), ws_.a_remo.end(),
                         ws_.req.begin(), ws_.req.end(),
                         std::back_inserter(ws_.rest));
+
+    auto mark_bpp = [&](char on) {
+      for (size_t c : c1) ws_.in_bpp[ws_.b1[c]] = on;
+      for (size_t i : ws_.bpp2) ws_.in_bpp[i] = on;
+    };
+    mark_bpp(1);
+    const bool go = RunRemovalSets();
+    mark_bpp(0);
+    return go;
+  }
+
+  /// Visits the removal sets of the current B'' (marked in ws_.in_bpp);
+  /// returns false iff the callback stopped.
+  bool RunRemovalSets() {
     BoundedSubsetEnumerator& en = ws_.removal_sets;
     en.Reset(ws_.rest.size(), ws_.bpp2.size() - ws_.req.size());
     while (en.Next()) {
@@ -164,7 +182,10 @@ class AlmostSatEnumerator {
                    ws_.req.end(), std::back_inserter(ws_.merged));
         std::swap(ws_.abar, ws_.merged);
       }
-      if (!CandidateIsLocalSolution()) continue;
+      for (size_t j : ws_.abar) ws_.in_abar[j] = 1;
+      const bool local = CandidateIsLocalSolution();
+      for (size_t j : ws_.abar) ws_.in_abar[j] = 0;
+      if (!local) continue;
       if (opts_.l_variant == LRefinement::kL20) en.PruneSupersetsOfCurrent();
       if (stats_ != nullptr) ++stats_->local_solutions;
       if (!EmitCandidate()) return false;
@@ -172,43 +193,38 @@ class AlmostSatEnumerator {
     return true;
   }
 
+  /// B[i] ∈ B' = B_keep ∪ B''?
+  bool InBPrime(size_t i) const { return ws_.v_adj_b[i] || ws_.in_bpp[i]; }
+
   /// δ̄(u, A' ∪ {v}) for B-side vertex at index `i` of B, under the current
-  /// removal set ws_.abar.
-  size_t DiscInCandidateA(size_t i) {
-    size_t removed = 0;
-    for (size_t j : ws_.abar) {
-      if (!Adjacent(a_[j], b_[i])) ++removed;
+  /// removal set (marked in ws_.in_abar).
+  size_t DiscInCandidateA(size_t i) const {
+    size_t disc = ws_.v_adj_b[i] ? 0 : 1;
+    for (uint32_t j : NonNeighborsOfB(i)) {
+      if (!ws_.in_abar[j]) ++disc;
     }
-    return ws_.disc_a_of_b[i] - removed + (ws_.v_adj_b[i] ? 0 : 1);
+    return disc;
   }
 
   /// Validity + local maximality of (A \ Ā ∪ {v}, B') per Section 4.
-  bool CandidateIsLocalSolution() {
+  bool CandidateIsLocalSolution() const {
     // (a) k-biplex validity: every u ∈ B''_2 needs at least one of its
     // disconnected A-members removed (its count is k+1 otherwise).
-    for (VertexId u : ws_.bpp2) {
-      bool covered = false;
-      for (size_t j : ws_.abar) {
-        if (!Adjacent(a_[j], u)) {
-          covered = true;
-          break;
-        }
+    for (size_t i : ws_.bpp2) {
+      std::span<const uint32_t> nn = NonNeighborsOfB(i);
+      if (std::none_of(nn.begin(), nn.end(),
+                       [&](uint32_t j) { return ws_.in_abar[j] != 0; })) {
+        return false;
       }
-      if (!covered) return false;
     }
-    // (b) A-side local maximality: no removed vertex may be addable back.
+    // (b) A-side local maximality: no removed vertex w may be addable
+    // back. w misses at most k_A members of B ⊇ B', so its own budget
+    // always allows it; it is addable iff every u ∈ B' it misses keeps
+    // room for one more disconnection.
     for (size_t j : ws_.abar) {
-      size_t disc_w = ws_.disc_keep_of_a[j];
-      const VertexId w = a_[j];
-      for (VertexId u : ws_.bpp) {
-        if (!Adjacent(w, u)) ++disc_w;
-      }
-      if (disc_w > ka_) continue;  // w's own budget forbids re-adding it
       bool addable = true;
-      for (VertexId u : ws_.bp) {
-        if (Adjacent(w, u)) continue;
-        const size_t i = IndexInB(u);
-        if (DiscInCandidateA(i) + 1 > kb_) {
+      for (uint32_t i : NonNeighborsOfA(j)) {
+        if (InBPrime(i) && DiscInCandidateA(i) + 1 > kb_) {
           addable = false;
           break;
         }
@@ -220,10 +236,10 @@ class AlmostSatEnumerator {
     // own count fits; members of A' can never block such a u, because
     // δ̄(a, B') = k together with a disconnected u ∈ B \ B' would force
     // δ̄(a, B) > k, contradicting that (A, B) is a k-biplex.
-    if (ws_.bpp.size() < ka_) {
+    if (bpp_size_ < ka_) {
       for (const std::vector<size_t>* bucket : {&ws_.b1, &ws_.b2}) {
         for (size_t i : *bucket) {
-          if (sorted::Contains(ws_.bpp, b_[i])) continue;
+          if (ws_.in_bpp[i]) continue;
           if (DiscInCandidateA(i) <= kb_) return false;  // u addable
         }
       }
@@ -249,16 +265,16 @@ class AlmostSatEnumerator {
     }
     sorted::Insert(&anchored, v_);
     std::vector<VertexId>& other = loc.MutableSideSet(Opposite(v_side_));
-    other.assign(ws_.bp.begin(), ws_.bp.end());
+    other.reserve(b_keep_size_ + bpp_size_);
+    for (size_t i = 0; i < b_.size(); ++i) {
+      if (InBPrime(i)) other.push_back(b_[i]);
+    }
     return cb_(loc);
   }
 
-  size_t IndexInB(VertexId u) const {
-    return static_cast<size_t>(
-        std::lower_bound(b_.begin(), b_.end(), u) - b_.begin());
-  }
-
   const BipartiteGraph& g_;
+  const Biplex& h_;
+  const KPair k_;
   const Side v_side_;
   const VertexId v_;
   const size_t ka_;  // budget of the anchored side (v's own side)
@@ -272,12 +288,49 @@ class AlmostSatEnumerator {
 
   EnumAlmostSatWorkspace local_ws_;  // fallback when no workspace is given
   EnumAlmostSatWorkspace& ws_;
+  BiplexNonAdjacency& rec_;  // H's non-adjacency record
 
+  size_t b_keep_size_ = 0;  // |B_keep|: members of B adjacent to v
+  size_t bpp_size_ = 0;     // |B''| of the current B'' choice
   uint32_t deadline_poll_ = 0;
   uint64_t adj_tests_ = 0;
 };
 
 }  // namespace
+
+uint64_t BiplexNonAdjacency::Build(const BipartiteGraph& g, const Biplex& h,
+                                   KPair k) {
+  built_ = false;
+  const size_t kl = static_cast<size_t>(k.left);
+  const size_t kr = static_cast<size_t>(k.right);
+  Lists& ll = lists_[SideIndex(Side::kLeft)];
+  Lists& rl = lists_[SideIndex(Side::kRight)];
+  ll.stride = std::min(kl, h.right.size());
+  rl.stride = std::min(kr, h.left.size());
+  ll.count.assign(h.left.size(), 0);
+  rl.count.assign(h.right.size(), 0);
+  ll.flat.resize(h.left.size() * ll.stride);
+  rl.flat.resize(h.right.size() * rl.stride);
+  // Visiting left members in index order keeps every right list ascending.
+  // A list's count stays below its k (checked) and below the size of the
+  // opposite side (its entries are distinct), hence below the stride: the
+  // check also keeps every write inside the member's slot.
+  for (size_t j = 0; j < h.left.size(); ++j) {
+    auto record = [&](size_t i, bool adjacent) {
+      if (adjacent) return;
+      if (ll.count[j] >= kl || rl.count[i] >= kr) {
+        throw std::logic_error(
+            "EnumAlmostSat: H is not a k-biplex (a member misses more than "
+            "k vertices of the other side)");
+      }
+      ll.flat[j * ll.stride + ll.count[j]++] = static_cast<uint32_t>(i);
+      rl.flat[i * rl.stride + rl.count[i]++] = static_cast<uint32_t>(j);
+    };
+    g.ForEachAdjacency(Side::kLeft, h.left[j], h.right, record);
+  }
+  built_ = true;
+  return static_cast<uint64_t>(h.left.size()) * h.right.size();
+}
 
 bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h, Side v_side,
                    VertexId v, KPair k, const EnumAlmostSatOptions& opts,

@@ -6,6 +6,15 @@
 // the incoming vertex v (left for iTraversal's left-anchored traversal,
 // either side for bTraversal), B is the opposite side.
 //
+// Algorithm 3's line-1 preprocessing runs once per H, not once per v: the
+// non-adjacency of H = (A, B) — for each member, its at most k
+// non-neighbours on the other side — is kept by member index in a
+// BiplexNonAdjacency record, which the traversal engine builds on a
+// frame's first candidate and shares across all of that frame's
+// candidates. Per candidate v, one merge of Γ(v) with B splits B into
+// B_keep, B1 and B2; every later question (A_remo, k-biplex validity,
+// local maximality) scans record entries, with no edge search.
+//
 // Refinements, each selectable independently (evaluated in Figure 12):
 //   R1.0: enumerate only B'' ⊆ B_enum with |B''| <= k, keeping B_keep
 //         (v's neighbors in B) in every local solution (Lemma 4.1).
@@ -19,6 +28,7 @@
 #define KBIPLEX_CORE_ENUM_ALMOST_SAT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/biplex.h"
@@ -36,6 +46,46 @@ enum class LRefinement : uint8_t { kL10, kL20 };
 /// Refined enumeration variant on the subset (opposite) side.
 enum class RRefinement : uint8_t { kR10, kR20 };
 
+/// The non-adjacency of a k-biplex H = (L, R), stored by member index:
+/// for each member of side s, the ascending indices (into H's opposite
+/// side set) of the opposite members it is not adjacent to — at most
+/// k.ForSide(s) of them. The record covers both sides, so one record of H
+/// serves candidates of either side (both of bTraversal's phases).
+class BiplexNonAdjacency {
+ public:
+  /// Builds the record of `h` in `g`, reusing the buffers' capacity.
+  /// Throws std::logic_error (in every build type) when a member of side s
+  /// misses more than k.ForSide(s) opposite members, i.e. `h` is not a
+  /// k-biplex; the record then reads as not built. Returns the number of
+  /// member pairs resolved, |L(h)|·|R(h)|.
+  uint64_t Build(const BipartiteGraph& g, const Biplex& h, KPair k);
+
+  /// Forgets the record; the next EnumAlmostSat call given it rebuilds it.
+  void Clear() { built_ = false; }
+  bool built() const { return built_; }
+
+  /// Number of members of side `s` the record was built for.
+  size_t NumMembers(Side s) const { return lists_[SideIndex(s)].count.size(); }
+
+  /// Non-neighbours of member `j` of side `s` (j indexes h.SideSet(s)),
+  /// as ascending indices into h.SideSet(Opposite(s)).
+  std::span<const uint32_t> Of(Side s, size_t j) const {
+    const Lists& l = lists_[SideIndex(s)];
+    return {l.flat.data() + j * l.stride, l.count[j]};
+  }
+
+ private:
+  /// Fixed-stride lists: member j's entries are
+  /// flat[j·stride, j·stride + count[j]), stride = min(k, |opposite side|).
+  struct Lists {
+    size_t stride = 0;
+    std::vector<uint32_t> count;
+    std::vector<uint32_t> flat;
+  };
+  Lists lists_[2];  // [0] = left members, [1] = right members
+  bool built_ = false;
+};
+
 /// Reusable scratch buffers of one EnumAlmostSat invocation. The traversal
 /// engines call EnumAlmostSat once per candidate vertex — thousands of
 /// times per second — and each call needs ~15 scratch vectors; routing the
@@ -43,12 +93,12 @@ enum class RRefinement : uint8_t { kR10, kR20 };
 /// capacity alive across calls so steady state allocates nothing.
 /// A workspace may be reused freely between calls but never concurrently.
 struct EnumAlmostSatWorkspace {
-  std::vector<size_t> disc_a_of_b;    // δ̄(u, A), aligned with B
+  BiplexNonAdjacency non_adjacency;   // per-call record when none is given
   std::vector<char> v_adj_b;          // v adjacent to B[i]?
-  std::vector<VertexId> b_keep;       // ids
+  std::vector<char> in_bpp;           // B[i] ∈ B'' (current B'' choice)?
+  std::vector<char> in_abar;          // A[j] ∈ Ā (current removal set)?
   std::vector<size_t> b1, b2;         // indices into B
-  std::vector<size_t> disc_keep_of_a; // δ̄(a, B_keep), aligned with A
-  std::vector<VertexId> bpp, bpp2, bp;
+  std::vector<size_t> bpp2;           // B''_2, indices into B
   std::vector<size_t> a_remo;         // indices into A
   std::vector<size_t> abar;           // removal set, indices into A
   std::vector<size_t> excluded_a_idx; // excluded members of A (indices)
@@ -80,6 +130,12 @@ struct EnumAlmostSatOptions {
   /// Optional caller-owned scratch buffers reused across invocations;
   /// when null each call allocates its own. Not owned.
   EnumAlmostSatWorkspace* workspace = nullptr;
+  /// Optional non-adjacency record of `h`, shared by the calls on one H
+  /// (the traversal engine keeps one per recursion frame). A call builds
+  /// it when it is not built yet; the caller must Clear() it when H
+  /// changes. When null, each call builds H's record in the workspace.
+  /// Not owned.
+  BiplexNonAdjacency* non_adjacency = nullptr;
 };
 
 /// Work counters for one or more invocations.
@@ -87,7 +143,9 @@ struct EnumAlmostSatStats {
   uint64_t b_subsets = 0;        // B'' candidate subsets examined
   uint64_t a_subsets = 0;        // removal sets examined
   uint64_t local_solutions = 0;  // local solutions reported
-  uint64_t adjacency_tests = 0;  // pairwise edge tests issued
+  /// Adjacency pairs resolved: |A|·|B| per non-adjacency record built,
+  /// plus |B| per call for the merge of Γ(v) with B.
+  uint64_t adjacency_tests = 0;
 };
 
 /// Receives each local solution; returns false to stop the enumeration.
@@ -100,7 +158,8 @@ using LocalSolutionCallback = FunctionRef<bool(const Biplex&)>;
 /// Enumerates all local solutions within the almost-satisfying graph
 /// (A ∪ {v}, B), where `h` is a k-biplex of `g`, A = h's side `v_side`,
 /// B = the opposite side, and `v` (on side `v_side`) is not in A. Every
-/// reported Biplex contains v on side `v_side`.
+/// reported Biplex contains v on side `v_side`. Throws std::logic_error
+/// when `h` is not a k-biplex (see BiplexNonAdjacency::Build).
 ///
 /// Returns false iff the callback requested a stop.
 bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h, Side v_side,

@@ -193,6 +193,9 @@ class TraversalEngine::Impl {
     std::vector<VertexId> cands[2];
     std::vector<VertexId> added[2];    // this side set \ parent's
     std::vector<VertexId> removed[2];  // parent's side set \ this one's
+    // H's non-adjacency record, built by the frame's first EnumAlmostSat
+    // call and read by the calls of every later candidate of either side.
+    BiplexNonAdjacency non_adjacency;
 
     /// Restores logical emptiness while keeping buffer capacity; called
     /// by the frame arena on recycled frames.
@@ -212,6 +215,7 @@ class TraversalEngine::Impl {
       excl_scanned = false;
       excl_members_anchored = 0;
       parent = nullptr;
+      non_adjacency.Clear();
       for (size_t i = 0; i < 2; ++i) {
         cands_ready[i] = false;
         cand_pos[i] = 0;
@@ -602,6 +606,7 @@ class TraversalEngine::Impl {
       EnumAlmostSatOptions lopts = opts_.local;
       lopts.deadline = deadline_;
       lopts.workspace = local_ws_;
+      lopts.non_adjacency = &f->non_adjacency;
       if (opts_.exclusion) {
         lopts.excluded_anchored = &f->excl[SideIndex(side)];
       }

@@ -154,29 +154,10 @@ BipartiteGraph BipartiteGraph::Transposed() const {
 
 size_t BipartiteGraph::ConnCount(Side side, VertexId v,
                                  const std::vector<VertexId>& subset) const {
-  auto nb = Neighbors(side, v);
-  // Merge-count; switch to binary search when the subset is much smaller.
-  if (subset.size() * 8 < nb.size()) {
-    size_t n = 0;
-    for (VertexId x : subset) {
-      if (std::binary_search(nb.begin(), nb.end(), x)) ++n;
-    }
-    return n;
-  }
   size_t n = 0;
-  auto ia = nb.begin();
-  auto ib = subset.begin();
-  while (ia != nb.end() && ib != subset.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      ++n;
-      ++ia;
-      ++ib;
-    }
-  }
+  ForEachAdjacency(side, v, subset, [&](size_t, bool adjacent) {
+    if (adjacent) ++n;
+  });
   return n;
 }
 

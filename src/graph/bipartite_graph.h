@@ -5,6 +5,7 @@
 #ifndef KBIPLEX_GRAPH_BIPARTITE_GRAPH_H_
 #define KBIPLEX_GRAPH_BIPARTITE_GRAPH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <utility>
@@ -103,6 +104,26 @@ class BipartiteGraph {
   /// side. This is the δ(v, S) primitive of the paper.
   size_t ConnCount(Side side, VertexId v,
                    const std::vector<VertexId>& subset) const;
+
+  /// Calls fn(i, adjacent) for every index i of `subset`, in order, where
+  /// `subset` is a sorted id vector of the side opposite to `side` and
+  /// `adjacent` tells whether subset[i] ∈ Γ(v). Merges the two lists, or
+  /// binary-searches Γ(v) when the subset is much smaller than it.
+  template <typename Fn>
+  void ForEachAdjacency(Side side, VertexId v,
+                        const std::vector<VertexId>& subset, Fn&& fn) const {
+    const std::span<const VertexId> nb = Neighbors(side, v);
+    const bool search = subset.size() * 8 < nb.size();
+    auto it = nb.begin();
+    for (size_t i = 0; i < subset.size(); ++i) {
+      if (search) {
+        it = std::lower_bound(it, nb.end(), subset[i]);
+      } else {
+        while (it != nb.end() && *it < subset[i]) ++it;
+      }
+      fn(i, it != nb.end() && *it == subset[i]);
+    }
+  }
 
   /// δ̄(v, S) = |S| - δ(v, S): disconnections of `v` within `subset`.
   size_t DiscCount(Side side, VertexId v,

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -251,6 +252,137 @@ TEST(EnumAlmostSatWorkspace, ReuseMatchesFreshAllocation) {
       ASSERT_EQ(reused, fresh) << "v=" << v;
     }
   }
+}
+
+// ---------------------------------------------------- non-adjacency record --
+
+/// One EnumAlmostSat call's local solutions in emission order, plus its
+/// counters.
+struct LocalRun {
+  std::vector<Biplex> locals;
+  EnumAlmostSatStats stats;
+};
+
+LocalRun RunInOrder(const BipartiteGraph& g, const Biplex& h, Side side,
+                    VertexId v, KPair k, const EnumAlmostSatOptions& opts) {
+  LocalRun run;
+  EnumAlmostSat(g, h, side, v, k, opts,
+                [&](const Biplex& b) {
+                  run.locals.push_back(b);
+                  return true;
+                },
+                &run.stats);
+  return run;
+}
+
+/// Random k-biplexes of `g`: vertex subsets drawn at random, kept when
+/// they are k-biplexes with both sides non-empty.
+std::vector<Biplex> RandomKBiplexes(const BipartiteGraph& g, KPair k,
+                                    Rng* rng, size_t want) {
+  std::vector<Biplex> out;
+  for (int attempt = 0; attempt < 400 && out.size() < want; ++attempt) {
+    Biplex h;
+    for (VertexId x = 0; x < g.NumLeft(); ++x) {
+      if (rng->NextBool(0.6)) h.left.push_back(x);
+    }
+    for (VertexId x = 0; x < g.NumRight(); ++x) {
+      if (rng->NextBool(0.6)) h.right.push_back(x);
+    }
+    if (!h.left.empty() && !h.right.empty() && IsKBiplex(g, h, k)) {
+      out.push_back(std::move(h));
+    }
+  }
+  return out;
+}
+
+// Every candidate of both sides of H, run through one shared record of H
+// (built by the first call), must emit exactly what a cold call emits, in
+// the same order and with the same counters, with and without the
+// exclusion filter and the Section 5 size prune.
+TEST(BiplexNonAdjacency, SharedRecordMatchesColdCalls) {
+  const KPair budgets[] = {{1, 1}, {2, 2}, {3, 3}, {1, 3}, {2, 1}};
+  size_t calls = 0;
+  size_t emitted = 0;
+  for (const KPair& k : budgets) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      BipartiteGraph g = MakeRandomGraph({7, 7, 0.55, seed * 31 + 7});
+      Rng rng(seed * 101 + static_cast<uint64_t>(k.left * 10 + k.right));
+      for (const Biplex& h : RandomKBiplexes(g, k, &rng, 4)) {
+        BiplexNonAdjacency shared;
+        EnumAlmostSatWorkspace ws;
+        uint64_t shared_tests = 0;
+        uint64_t merged = 0;  // Σ |B| over the shared-record calls
+        for (Side side : {Side::kLeft, Side::kRight}) {
+          DynamicBitset excluded;
+          excluded.Resize(g.NumOnSide(side));
+          for (VertexId x = 0; x < g.NumOnSide(side); ++x) {
+            if (rng.NextBool(0.2)) excluded.Set(x);
+          }
+          const size_t b_size = h.SideSet(Opposite(side)).size();
+          for (VertexId v = 0; v < g.NumOnSide(side); ++v) {
+            if (sorted::Contains(h.SideSet(side), v)) continue;
+            for (bool filtered : {false, true}) {
+              EnumAlmostSatOptions cold;
+              if (filtered) {
+                cold.excluded_anchored = &excluded;
+                cold.min_b_size = b_size / 2;
+              }
+              EnumAlmostSatOptions warm = cold;
+              warm.workspace = &ws;
+              warm.non_adjacency = &shared;
+              const LocalRun want = RunInOrder(g, h, side, v, k, cold);
+              const LocalRun got = RunInOrder(g, h, side, v, k, warm);
+              ASSERT_EQ(got.locals, want.locals)
+                  << "k=(" << k.left << "," << k.right << ") seed=" << seed
+                  << " H=" << ToString(h) << " v=" << v
+                  << " filtered=" << filtered;
+              EXPECT_EQ(got.stats.b_subsets, want.stats.b_subsets);
+              EXPECT_EQ(got.stats.a_subsets, want.stats.a_subsets);
+              EXPECT_EQ(got.stats.local_solutions, want.stats.local_solutions);
+              shared_tests += got.stats.adjacency_tests;
+              merged += b_size;
+              ++calls;
+              emitted += got.locals.size();
+            }
+          }
+        }
+        // The shared record was built once, by the first call.
+        if (merged != 0) {
+          EXPECT_EQ(shared_tests, h.left.size() * h.right.size() + merged);
+        }
+      }
+    }
+  }
+  EXPECT_GT(calls, 100u);
+  EXPECT_GT(emitted, calls);
+}
+
+// A member with more than k non-neighbours in H is reported by an
+// exception, not an assert, so Release builds keep the check (and the
+// record's fixed-stride storage never overflows).
+TEST(BiplexNonAdjacency, NonKBiplexThrows) {
+  // Left 0 and left 3 miss both right members; left 2 is the candidate.
+  BipartiteGraph g =
+      BipartiteGraph::FromEdges(4, 2, {{1, 0}, {1, 1}, {2, 0}});
+  const Biplex left_heavy{{0, 1}, {0, 1}};  // left 0 misses 2
+  const Biplex both_heavy{{0, 3}, {0, 1}};  // every member misses 2
+  auto run = [&](const Biplex& h, KPair k) {
+    return EnumAlmostSat(g, h, Side::kLeft, 2, k, EnumAlmostSatOptions{},
+                         [](const Biplex&) { return true; });
+  };
+  EXPECT_THROW(run(left_heavy, KPair{1, 1}), std::logic_error);
+  EXPECT_THROW(run(left_heavy, KPair{1, 3}), std::logic_error);
+  EXPECT_NO_THROW(run(left_heavy, KPair{2, 1}));
+  EXPECT_THROW(run(both_heavy, KPair{2, 1}), std::logic_error);
+  EXPECT_NO_THROW(run(both_heavy, KPair{2, 2}));
+
+  // A shared record that failed to build reads as not built.
+  BiplexNonAdjacency rec;
+  EXPECT_THROW(rec.Build(g, both_heavy, KPair{2, 1}), std::logic_error);
+  EXPECT_FALSE(rec.built());
+  EXPECT_EQ(rec.Build(g, both_heavy, KPair{2, 2}), 4u);
+  EXPECT_TRUE(rec.built());
+  EXPECT_EQ(rec.Of(Side::kRight, 1).size(), 2u);
 }
 
 }  // namespace

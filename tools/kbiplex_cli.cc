@@ -10,6 +10,9 @@
 //   kbiplex stats     <edge-list>
 //   kbiplex algos
 //
+// `--help` or `-h` anywhere on the command line prints this usage to
+// stdout and exits 0.
+//
 // --algo accepts every name in the algorithm registry (see `kbiplex
 // algos`); --opt passes backend-specific options through. With --format
 // json, solutions print as JSON lines and the unified run statistics
@@ -62,33 +65,43 @@ struct CliArgs {
   bool quiet = false;   // suppress solution lines, print counts only
 };
 
-void PrintUsage() {
+void PrintUsage(std::ostream& out) {
   std::string names;
   for (const std::string& n : AlgorithmRegistry::Global().Names()) {
     if (!names.empty()) names += "|";
     names += n;
   }
-  std::cerr << "usage:\n"
-               "  kbiplex enumerate <edge-list> [--k N | --kl N --kr N] "
-               "[--max N] [--budget S]\n"
-               "                    [--algo NAME] [--theta-l N] [--theta-r N] "
-               "[--threads N]\n"
-               "                    [--opt KEY=VALUE]... [--format text|json] "
-               "[--quiet]\n"
-               "                    [--sort]\n"
-               "  kbiplex large <edge-list> --theta-l N --theta-r N [--k N] "
-               "[--max N] [--budget S] [--quiet]\n"
-               "  kbiplex batch <edge-list> [--queries FILE|-]\n"
-               "  kbiplex stats <edge-list>\n"
-               "  kbiplex algos\n"
-               "batch reads one query per line (request flags, e.g. \"--algo "
-               "imb --k 1 --max 50\"),\n"
-               "prepares the graph once, and prints one JSON stats object "
-               "per query.\n"
-               "batch lines starting with \"update\" mutate the graph: "
-               "update +L:R -L:R ... — later queries see the new epoch.\n"
-               "algorithms: "
-            << names << "\n";
+  out << "usage:\n"
+         "  kbiplex enumerate <edge-list> [--k N | --kl N --kr N] "
+         "[--max N] [--budget S]\n"
+         "                    [--algo NAME] [--theta-l N] [--theta-r N] "
+         "[--threads N]\n"
+         "                    [--opt KEY=VALUE]... [--format text|json] "
+         "[--quiet]\n"
+         "                    [--sort]\n"
+         "  kbiplex large <edge-list> --theta-l N --theta-r N [--k N] "
+         "[--max N] [--budget S] [--quiet]\n"
+         "  kbiplex batch <edge-list> [--queries FILE|-]\n"
+         "  kbiplex stats <edge-list>\n"
+         "  kbiplex algos\n"
+         "batch reads one query per line (request flags, e.g. \"--algo "
+         "imb --k 1 --max 50\"),\n"
+         "prepares the graph once, and prints one JSON stats object "
+         "per query.\n"
+         "batch lines starting with \"update\" mutate the graph: "
+         "update +L:R -L:R ... — later queries see the new epoch.\n"
+         "--help or -h prints this usage.\n"
+         "algorithms: "
+      << names << "\n";
+}
+
+/// True iff an argument is `--help` or `-h`.
+bool WantsHelp(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") return true;
+  }
+  return false;
 }
 
 std::optional<CliArgs> Parse(int argc, char** argv) {
@@ -319,9 +332,13 @@ int CmdAlgos() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (WantsHelp(argc, argv)) {
+    PrintUsage(std::cout);
+    return 0;
+  }
   std::optional<CliArgs> args = Parse(argc, argv);
   if (!args) {
-    PrintUsage();
+    PrintUsage(std::cerr);
     return 2;
   }
   if (args->command == "algos") return CmdAlgos();
@@ -335,6 +352,6 @@ int main(int argc, char** argv) {
   if (args->command == "large") return CmdLarge(*args, g);
   if (args->command == "batch") return CmdBatch(*args, std::move(g));
   if (args->command == "stats") return CmdStats(g);
-  PrintUsage();
+  PrintUsage(std::cerr);
   return 2;
 }
