@@ -22,6 +22,10 @@ the drift over both sides. It prints one table and exits 1 when
     the parent's;
   - a (workload, metric) reads `worse`.
 
+Next to each metric's medians the table prints how many pairs head won:
+pair i is the parent's and head's i-th run, and a tie counts for neither
+side. A gain claim needs head better in at least 9 of 10 pairs.
+
 For a failed run it prints, to stderr, the harness's `# FAILED:` lines,
 run.py's `run.py:` lines and the last 40 stderr lines.
 
@@ -95,6 +99,19 @@ def verdict(metric, parent, head):
     return "worse" if worse else "ok"
 
 
+def pair_wins(metric, parent_runs, head_runs):
+    """(pairs head won, pairs compared) for one metric: pair i is the i-th
+    run of each side, both must print the metric, and ties count for
+    neither side."""
+    name = metric["name"]
+    lower = metric["better"] == "lower"
+    pairs = [(p["metrics"][name], h["metrics"][name])
+             for p, h in zip(parent_runs, head_runs)
+             if name in p.get("metrics", {}) and name in h.get("metrics", {})]
+    wins = sum(1 for p, h in pairs if (h < p if lower else h > p))
+    return wins, len(pairs)
+
+
 def failed_share(runs):
     attempted = sum(r.get("attempted", 0) for r in runs)
     return sum(r.get("failed", 0) for r in runs) / attempted if attempted else 0.0
@@ -125,7 +142,8 @@ def evaluate(metrics, runs):
             v = verdict(metric, values["parent"], values["head"])
             if v == "worse":
                 problems.append("%s %s is worse" % (workload, name))
-            rows.append((workload, name, values["parent"], values["head"], v))
+            wins = pair_wins(metric, runs["parent"][workload], runs["head"][workload])
+            rows.append((workload, name, values["parent"], values["head"], wins, v))
     return rows, shares, problems
 
 
@@ -135,16 +153,17 @@ def fmt(x):
 
 def print_table(rows):
     table = [("workload", "metric", "parent median [q1, q3]", "head median",
-              "ratio", "verdict")]
-    for workload, name, parent, head, v in rows:
+              "ratio", "head better", "verdict")]
+    for workload, name, parent, head, (wins, pairs), v in rows:
+        won = "%d/%d" % (wins, pairs)
         if parent and head:
             q1, median, q3 = quartiles(parent)
             head_median = statistics.median(head)
             ratio = fmt(head_median / median) if median else "-"
             table.append((workload, name, "%s [%s, %s]" % (fmt(median), fmt(q1), fmt(q3)),
-                          fmt(head_median), ratio, v))
+                          fmt(head_median), ratio, won, v))
         else:
-            table.append((workload, name, "-", "-", "-", v))
+            table.append((workload, name, "-", "-", "-", won, v))
     widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
     for row in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -218,10 +237,16 @@ def self_test():
     steady = [line(enum_rel=5.0 * (1 + 0.01 * (i % 3))) for i in range(PAIRS)]
     failures = []
 
-    def expect(name, head_lines, want_fail, want_verdicts, parent_lines=steady):
+    def expect(name, head_lines, want_fail, want_verdicts, parent_lines=steady,
+               want_wins=None):
         rows, _, problems = evaluate(metrics, {"parent": runs(parent_lines),
                                                "head": runs(head_lines)})
-        verdicts = {row[1]: row[4] for row in rows}
+        verdicts = {row[1]: row[5] for row in rows}
+        wins = {row[1]: row[4] for row in rows}
+        for metric, want in (want_wins or {}).items():
+            if wins.get(metric) != want:
+                failures.append("%s: %s head wins %r, expected %r"
+                                % (name, metric, wins.get(metric), want))
         if bool(problems) != want_fail:
             failures.append("%s: expected %s, got problems %r"
                             % (name, "a failure" if want_fail else "a pass", problems))
@@ -246,6 +271,15 @@ def self_test():
            {"setup_s": "unresolved"}, [line(setup_s=v) for v in wide])
     expect("wide spread, every head run worse", [line(setup_s=v + 3) for v in wide], True,
            {"setup_s": "worse"}, [line(setup_s=v) for v in wide])
+    # Pair wins: setup_s (lower is better) is lower in 8 pairs, tied in
+    # one, higher in one; success_rate (higher is better) is higher in one
+    # pair, tied in 8, lower in one.
+    head_setup = [4.0] * 8 + [5.0, 6.0]
+    head_success = [6.0] + [5.0] * 8 + [4.0]
+    expect("pair wins", [line(setup_s=a, success_rate=b)
+                         for a, b in zip(head_setup, head_success)], False,
+           {"setup_s": "ok"}, [line(setup_s=5.0, success_rate=5.0)] * PAIRS,
+           want_wins={"setup_s": (8, 10), "success_rate": (1, 10), "enum_rel": (0, 10)})
     expect("no result line", steady[:-1] + [(1, "# stamp\nnot json")], True, {})
     # A failed run's reasons survive a long stderr tail after them.
     report = failure_report(
@@ -265,8 +299,8 @@ def self_test():
     print("self-test passed: identical runs pass; a 30% higher enum_rel, an "
           "incorrect run, a non-zero exit, a higher failed share and a missing "
           "result line fail; a wide-spread metric reads unresolved unless every "
-          "head run is worse; a failed run's report keeps its # FAILED and run.py "
-          "lines")
+          "head run is worse; pair wins count ties for neither side; a failed run's "
+          "report keeps its # FAILED and run.py lines")
     return 0
 
 

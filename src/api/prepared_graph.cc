@@ -1,6 +1,7 @@
 #include "api/prepared_graph.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <utility>
 
@@ -10,56 +11,76 @@
 namespace kbiplex {
 namespace {
 
-/// Largest a with a non-empty (a,a)-core, via one joint min-degree peel
-/// over both sides (the bipartite graph's degeneracy: the (a,a)-core is
-/// the a-core of the underlying general graph, so the bound equals the
-/// maximum residual degree observed at removal time). O(|V| + |E|) with a
-/// lazily-cleaned bucket queue, against O(degeneracy * (|V| + |E|)) for
-/// repeated core peels.
-size_t ComputeMaxUniformCore(const BipartiteGraph& g) {
+/// Largest a with a non-empty (a,a)-core: the bipartite graph's
+/// degeneracy, since the (a,a)-core is the a-core of the underlying
+/// general graph. One Batagelj–Zaversnik peel over the joint vertex ids
+/// (left v -> v, right u -> |L| + u): `vert` holds the vertices sorted by
+/// current degree, `bin[d]` the first position of degree d in it and
+/// `pos` each vertex's position, so a neighbor's degree drops by swapping
+/// it to the front of its bin. The bound is the largest degree a vertex
+/// has when it is peeled. O(|V| + |E|) over flat `Id` arrays, against
+/// O(degeneracy * (|V| + |E|)) for repeated core peels.
+template <typename Id>
+size_t PeelDegeneracy(const BipartiteGraph& g) {
   const size_t nl = g.NumLeft();
-  const size_t n = nl + g.NumRight();
-  if (g.NumEdges() == 0) return 0;
-  // Joint vertex ids: left v -> v, right u -> nl + u.
-  std::vector<size_t> deg(n);
+  const size_t n = g.NumVertices();
+  std::vector<Id> deg(n);
   size_t max_degree = 0;
-  for (size_t v = 0; v < nl; ++v) {
-    deg[v] = g.LeftDegree(static_cast<VertexId>(v));
-    max_degree = std::max(max_degree, deg[v]);
+  for (size_t v = 0; v < n; ++v) {
+    deg[v] = static_cast<Id>(
+        v < nl ? g.LeftDegree(static_cast<VertexId>(v))
+               : g.RightDegree(static_cast<VertexId>(v - nl)));
+    max_degree = std::max<size_t>(max_degree, deg[v]);
   }
-  for (size_t u = nl; u < n; ++u) {
-    deg[u] = g.RightDegree(static_cast<VertexId>(u - nl));
-    max_degree = std::max(max_degree, deg[u]);
+  std::vector<Id> bin(max_degree + 1, 0);
+  for (size_t v = 0; v < n; ++v) ++bin[deg[v]];
+  Id start = 0;
+  for (Id& b : bin) start = static_cast<Id>(start + std::exchange(b, start));
+  std::vector<Id> pos(n);
+  std::vector<Id> vert(n);
+  for (size_t v = 0; v < n; ++v) {
+    pos[v] = bin[deg[v]]++;
+    vert[pos[v]] = static_cast<Id>(v);
   }
-  std::vector<std::vector<size_t>> buckets(max_degree + 1);
-  for (size_t v = 0; v < n; ++v) buckets[deg[v]].push_back(v);
-  std::vector<char> removed(n, 0);
+  // bin[d] now holds the end of degree d's run; shift back to its start.
+  for (size_t d = max_degree; d > 0; --d) bin[d] = bin[d - 1];
+  bin[0] = 0;
+
   size_t degeneracy = 0;
-  size_t cur = 0;
-  for (size_t peeled = 0; peeled < n;) {
-    if (cur > max_degree) break;  // only stale entries were left
-    if (buckets[cur].empty()) {
-      ++cur;
-      continue;
-    }
-    const size_t v = buckets[cur].back();
-    buckets[cur].pop_back();
-    if (removed[v] != 0 || deg[v] != cur) continue;  // stale entry
-    removed[v] = 1;
-    ++peeled;
-    degeneracy = std::max(degeneracy, cur);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t v = vert[i];
+    const Id dv = deg[v];
+    degeneracy = std::max<size_t>(degeneracy, dv);
     const bool is_left = v < nl;
-    for (VertexId w : is_left
+    for (VertexId x : is_left
                           ? g.LeftNeighbors(static_cast<VertexId>(v))
                           : g.RightNeighbors(static_cast<VertexId>(v - nl))) {
-      const size_t wi = is_left ? nl + static_cast<size_t>(w)
-                                : static_cast<size_t>(w);
-      if (removed[wi] != 0) continue;
-      buckets[--deg[wi]].push_back(wi);
-      cur = std::min(cur, deg[wi]);
+      const size_t w = is_left ? nl + size_t{x} : size_t{x};
+      // Peeled vertices have degree <= dv, so only live ones move.
+      if (deg[w] <= dv) continue;
+      const Id dw = deg[w];
+      const Id pw = pos[w];
+      const Id front = bin[dw];
+      const Id u = vert[front];
+      if (u != w) {
+        pos[u] = pw;
+        vert[pw] = u;
+        pos[w] = front;
+        vert[front] = static_cast<Id>(w);
+      }
+      ++bin[dw];
+      --deg[w];
     }
   }
   return degeneracy;
+}
+
+size_t ComputeMaxUniformCore(const BipartiteGraph& g) {
+  if (g.NumEdges() == 0) return 0;
+  // 32-bit arrays halve the peel's memory traffic; they hold every joint
+  // id while |L| + |R| fits.
+  return g.NumVertices() <= UINT32_MAX ? PeelDegeneracy<uint32_t>(g)
+                                       : PeelDegeneracy<size_t>(g);
 }
 
 }  // namespace

@@ -2,45 +2,82 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace kbiplex {
 
+namespace {
+
+/// Turns per-row counts (row i's count in offsets[i], offsets.back() unused)
+/// into row ends: offsets[i] becomes the end of row i and offsets.back()
+/// the total. Writing a row's entries through `offsets[i]--` afterwards
+/// leaves offsets[i] at the row's start, so no separate cursor array is
+/// needed.
+void CountsToRowEnds(std::vector<size_t>& offsets) {
+  size_t total = 0;
+  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+    total += offsets[i];
+    offsets[i] = total;
+  }
+  offsets.back() = total;
+}
+
+}  // namespace
+
 BipartiteGraph BipartiteGraph::FromEdges(size_t num_left, size_t num_right,
                                          std::vector<Edge> edges) {
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
   BipartiteGraph g;
+  // Left rows: count (and range-check) every edge, scatter the right ids
+  // into their rows, then sort and deduplicate each short row in place.
   g.left_offsets_.assign(num_left + 1, 0);
-  g.right_offsets_.assign(num_right + 1, 0);
   for (const auto& [l, r] : edges) {
-    assert(l < num_left && r < num_right);
-    ++g.left_offsets_[l + 1];
-    ++g.right_offsets_[r + 1];
+    if (l >= num_left || r >= num_right) {
+      throw std::out_of_range(
+          "BipartiteGraph::FromEdges: edge (" + std::to_string(l) + ", " +
+          std::to_string(r) + ") outside a " + std::to_string(num_left) +
+          " x " + std::to_string(num_right) + " graph");
+    }
+    ++g.left_offsets_[l];
   }
-  for (size_t i = 1; i <= num_left; ++i) {
-    g.left_offsets_[i] += g.left_offsets_[i - 1];
-  }
-  for (size_t i = 1; i <= num_right; ++i) {
-    g.right_offsets_[i] += g.right_offsets_[i - 1];
-  }
+  CountsToRowEnds(g.left_offsets_);
+  // Rows fill from their ends, so scanning the edges backwards keeps each
+  // row in input order: an input sorted by (left, right) sorts for free.
   g.left_neighbors_.resize(edges.size());
-  g.right_neighbors_.resize(edges.size());
-  std::vector<size_t> lpos(g.left_offsets_.begin(),
-                           g.left_offsets_.end() - 1);
-  std::vector<size_t> rpos(g.right_offsets_.begin(),
-                           g.right_offsets_.end() - 1);
-  for (const auto& [l, r] : edges) {
-    g.left_neighbors_[lpos[l]++] = r;
-    g.right_neighbors_[rpos[r]++] = l;
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+    g.left_neighbors_[--g.left_offsets_[it->first]] = it->second;
   }
-  // Edges were sorted by (l, r), so each left adjacency list is sorted; the
-  // right lists need sorting.
-  for (size_t u = 0; u < num_right; ++u) {
-    std::sort(g.right_neighbors_.begin() +
-                  static_cast<ptrdiff_t>(g.right_offsets_[u]),
-              g.right_neighbors_.begin() +
-                  static_cast<ptrdiff_t>(g.right_offsets_[u + 1]));
+  std::vector<Edge>().swap(edges);
+  // Compact the deduplicated rows leftwards; row l's old bounds are read
+  // before offsets[l] is rewritten to its new start.
+  const auto nb = g.left_neighbors_.begin();
+  size_t out = 0;
+  for (size_t l = 0; l < num_left; ++l) {
+    const auto first = nb + static_cast<ptrdiff_t>(g.left_offsets_[l]);
+    const auto last = nb + static_cast<ptrdiff_t>(g.left_offsets_[l + 1]);
+    std::sort(first, last);
+    const auto row_end = std::unique(first, last);
+    g.left_offsets_[l] = out;
+    out = static_cast<size_t>(
+        std::move(first, row_end, nb + static_cast<ptrdiff_t>(out)) - nb);
+  }
+  g.left_offsets_[num_left] = out;
+  if (out != g.left_neighbors_.size()) {
+    g.left_neighbors_.resize(out);
+    g.left_neighbors_.shrink_to_fit();
+  }
+
+  // Right rows: walking the left rows from the highest id down and
+  // filling each right row from its end leaves every right row sorted.
+  g.right_offsets_.assign(num_right + 1, 0);
+  for (VertexId r : g.left_neighbors_) ++g.right_offsets_[r];
+  CountsToRowEnds(g.right_offsets_);
+  g.right_neighbors_.resize(out);
+  for (size_t l = num_left; l-- > 0;) {
+    for (size_t i = g.left_offsets_[l + 1]; i-- > g.left_offsets_[l];) {
+      g.right_neighbors_[--g.right_offsets_[g.left_neighbors_[i]]] =
+          static_cast<VertexId>(l);
+    }
   }
   return g;
 }
@@ -106,7 +143,7 @@ BipartiteGraph BipartiteGraph::WithEdgeDelta(
 
   // Right side: the same sweep over delta copies re-sorted by (right,
   // left) — the delta is small, so the sort is O(delta log delta) against
-  // the O(|E| log |E|) a FromEdges rebuild would pay.
+  // the O(|V| + |E|) a FromEdges rebuild would pay.
   const auto by_rl = [](const Edge& a, const Edge& b) {
     return a.second != b.second ? a.second < b.second : a.first < b.first;
   };

@@ -26,8 +26,12 @@ class BipartiteGraph {
   BipartiteGraph() = default;
 
   /// Builds a graph with `num_left` / `num_right` vertices from an edge
-  /// list. Duplicate edges are collapsed; edges referencing out-of-range
-  /// vertices are not allowed (checked in debug builds).
+  /// list in any order. Duplicate edges are collapsed. An edge referencing
+  /// an out-of-range vertex throws std::out_of_range in every build type.
+  /// O(|V| + |E| + Σ d·log d) over the left degrees d: a counting sort
+  /// buckets the edges by left id, each left row is sorted on its own, and
+  /// the right rows come out sorted from one sweep over the left rows. The
+  /// edge vector is released before the right rows are allocated.
   static BipartiteGraph FromEdges(size_t num_left, size_t num_right,
                                   std::vector<Edge> edges);
 
@@ -88,7 +92,7 @@ class BipartiteGraph {
 
   /// Returns a copy of the graph with `insert` added and `erase` removed,
   /// splicing the CSR arrays directly in O(|V| + |E| + delta) — no
-  /// FromEdges re-sort. Contract (update::UpdateBatch::Normalize
+  /// FromEdges rebuild. Contract (update::UpdateBatch::Normalize
   /// establishes it): both lists are sorted by (left, right) and
   /// duplicate-free, every insert edge is absent from the graph, every
   /// erase edge is present, and the two lists are disjoint.

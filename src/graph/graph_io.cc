@@ -208,7 +208,20 @@ class EdgeListStreamParser {
         }
       }
     }
-    if (!have_header) {
+    if (have_header) {
+      // Checked before FromEdges allocates the offset arrays. A header
+      // reading guarantees every id is below the declared size.
+      const uint64_t left_ids = edges_.empty() ? 0 : max_a_ + 1;
+      const uint64_t right_ids = edges_.empty() ? 0 : max_b_ + 1;
+      if (num_left - left_ids > kMaxDeclaredIsolatedVertices ||
+          num_right - right_ids > kMaxDeclaredIsolatedVertices) {
+        Fail(first_.line_no,
+             "declared side size exceeds the largest id + 1 by more than " +
+                 std::to_string(kMaxDeclaredIsolatedVertices) +
+                 " isolated vertices");
+        return {std::nullopt, error_};
+      }
+    } else {
       // The held-back first line is an edge like the others; trailing
       // columns (weights, timestamps) are ignored throughout.
       if (have_first_) {

@@ -15,11 +15,14 @@
 //     and the first line is an edge like the others if the ids do not
 //     respect the declared sizes. A lone three-column line is a header
 //     only when it declares M = 0; with M > 0 it is ambiguous with a
-//     truncated file and fails. Without a header the side sizes are
-//     inferred as max id + 1.
+//     truncated file and fails. A header may declare at most
+//     kMaxDeclaredIsolatedVertices vertices per side beyond the largest id
+//     + 1 on that side. Without a header the side sizes are inferred as
+//     max id + 1.
 #ifndef KBIPLEX_GRAPH_GRAPH_IO_H_
 #define KBIPLEX_GRAPH_GRAPH_IO_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -34,6 +37,14 @@ struct LoadResult {
 
   bool ok() const { return graph.has_value(); }
 };
+
+/// Most isolated vertices a header may declare on one side: an "L R M"
+/// header whose L (or R) exceeds the largest left (right) id + 1 by more
+/// than this fails to parse before anything is allocated, so a few bytes
+/// of header cannot demand gigabytes of offset arrays. Isolated vertices
+/// beyond the largest id only exist through the header, and no
+/// enumeration result depends on them.
+inline constexpr uint64_t kMaxDeclaredIsolatedVertices = uint64_t{1} << 24;
 
 /// Default read-chunk size of the streaming loader.
 inline constexpr size_t kDefaultLoadChunkBytes = size_t{1} << 20;

@@ -1,9 +1,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "api/prepared_graph.h"
 #include "graph/bipartite_graph.h"
 #include "graph/core_decomposition.h"
 #include "graph/general_graph.h"
@@ -91,6 +95,72 @@ TEST(Induce, CompactsIdsAndKeepsEdges) {
   EXPECT_TRUE(sub.graph.HasEdge(0, 1));
   EXPECT_EQ(sub.left_map, (std::vector<VertexId>{1, 3}));
   EXPECT_EQ(sub.right_map, (std::vector<VertexId>{1, 2}));
+}
+
+/// Checks both sides' CSR rows of FromEdges(nl, nr, edges) against a
+/// std::set of the distinct edges.
+void ExpectCsrMatchesSet(size_t nl, size_t nr,
+                         const std::vector<BipartiteGraph::Edge>& edges) {
+  const std::set<BipartiteGraph::Edge> distinct(edges.begin(), edges.end());
+  const BipartiteGraph g = BipartiteGraph::FromEdges(nl, nr, edges);
+  ASSERT_EQ(g.NumLeft(), nl);
+  ASSERT_EQ(g.NumRight(), nr);
+  ASSERT_EQ(g.NumEdges(), distinct.size());
+  std::vector<std::vector<VertexId>> left(nl), right(nr);
+  for (const auto& [l, r] : distinct) {  // ascending (l, r): rows sorted
+    left[l].push_back(r);
+    right[r].push_back(l);
+  }
+  for (VertexId l = 0; l < nl; ++l) {
+    const auto nb = g.LeftNeighbors(l);
+    EXPECT_EQ(std::vector<VertexId>(nb.begin(), nb.end()), left[l])
+        << "left " << l;
+  }
+  for (VertexId r = 0; r < nr; ++r) {
+    const auto nb = g.RightNeighbors(r);
+    EXPECT_EQ(std::vector<VertexId>(nb.begin(), nb.end()), right[r])
+        << "right " << r;
+  }
+}
+
+TEST(BipartiteGraph, FromEdgesMatchesSetReference) {
+  Rng rng(24);
+  for (int round = 0; round < 40; ++round) {
+    const size_t nl = 1 + rng.NextBelow(30);
+    const size_t nr = 1 + rng.NextBelow(30);
+    // Ids stay off the first and last two vertices of each side half the
+    // time, so isolated vertices sit at both ends.
+    const bool margins = round % 2 == 0 && nl > 4 && nr > 4;
+    const auto pick = [&](size_t n) {
+      return static_cast<VertexId>(margins ? 2 + rng.NextBelow(n - 4)
+                                           : rng.NextBelow(n));
+    };
+    std::vector<BipartiteGraph::Edge> edges;
+    const size_t m = rng.NextBelow(3 * (nl + nr));
+    for (size_t i = 0; i < m; ++i) edges.emplace_back(pick(nl), pick(nr));
+    // Duplicate a share of the edges, in shuffled order.
+    for (size_t i = 0; i < m / 3; ++i) edges.push_back(edges[rng.NextBelow(m)]);
+    rng.Shuffle(&edges);
+    SCOPED_TRACE("round " + std::to_string(round));
+    ExpectCsrMatchesSet(nl, nr, edges);
+    // Sorted and reverse-sorted inputs take the same path.
+    std::sort(edges.begin(), edges.end());
+    ExpectCsrMatchesSet(nl, nr, edges);
+    std::reverse(edges.begin(), edges.end());
+    ExpectCsrMatchesSet(nl, nr, edges);
+  }
+  ExpectCsrMatchesSet(0, 0, {});
+  ExpectCsrMatchesSet(4, 3, {});
+  ExpectCsrMatchesSet(5, 0, {});  // one empty side
+  ExpectCsrMatchesSet(0, 5, {});
+}
+
+TEST(BipartiteGraph, FromEdgesThrowsOnOutOfRangeEdge) {
+  // Holds in every build type, not only where assert() is compiled in.
+  EXPECT_THROW(BipartiteGraph::FromEdges(2, 2, {{0, 0}, {2, 0}}),
+               std::out_of_range);
+  EXPECT_THROW(BipartiteGraph::FromEdges(2, 2, {{0, 2}}), std::out_of_range);
+  EXPECT_THROW(BipartiteGraph::FromEdges(0, 3, {{0, 0}}), std::out_of_range);
 }
 
 // ---------------------------------------------------------------- graph_io --
@@ -305,6 +375,28 @@ TEST(GraphIo, StringRoundTripPreservesIsolatedVertices) {
   EXPECT_EQ(r.graph->Edges(), g.Edges());
 }
 
+TEST(GraphIo, HugeDeclaredSideSizeFailsBeforeAllocating) {
+  // A 24-byte header declaring 2^32 - 1 vertices per side must fail to
+  // parse instead of allocating two 32 GiB offset arrays.
+  auto r = ParseEdgeList("4294967295 4294967295 0\n");
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("line 1"), std::string::npos) << r.error;
+  // The slack is counted from the largest id on each side: one vertex
+  // past it fails, a few thousand isolated vertices load.
+  r = ParseEdgeList(std::to_string(kMaxDeclaredIsolatedVertices + 6) +
+                    " 7 1\n4 6\n");
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("line 1"), std::string::npos) << r.error;
+  r = ParseEdgeList("5005 7 1\n4 6\n");
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.graph->NumLeft(), 5005u);
+  r = ParseEdgeList("% two edges\n3 " +
+                    std::to_string(kMaxDeclaredIsolatedVertices + 8) +
+                    " 2\n0 1\n2 6\n");
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("line 2"), std::string::npos) << r.error;
+}
+
 TEST(GraphIo, CrlfLinesParse) {
   auto r = ParseEdgeList("2 2 1\r\n0 1\r\n");
   ASSERT_TRUE(r.ok()) << r.error;
@@ -427,6 +519,35 @@ TEST(AlphaBetaCore, IsMaximal) {
     if (sorted::Contains(core.left, v)) continue;
     EXPECT_LT(g.ConnCount(Side::kLeft, v, core.right), 3u);
   }
+}
+
+TEST(MaxUniformCore, MatchesLargestNonEmptyUniformCore) {
+  // The one-pass degeneracy peel against its definition: the largest a
+  // whose (a,a)-core is non-empty, on random graphs alone and next to a
+  // planted complete block in another component.
+  const auto check = [](BipartiteGraph g, const std::string& label) {
+    size_t want = 0;
+    while (!AlphaBetaCore(g, want + 1, want + 1).Empty()) ++want;
+    EXPECT_EQ(PreparedGraph::Prepare(std::move(g))->MaxUniformCore(), want)
+        << label;
+  };
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (double p : {0.15, 0.4, 0.8}) {
+      const BipartiteGraph g =
+          testing_support::MakeRandomGraph({9 + seed, 7 + 3 * seed, p, seed});
+      const BipartiteGraph block = testing_support::MakeRandomGraph(
+          {2 + seed, 3 + seed % 3, 1.0, seed});
+      const std::string label =
+          "seed=" + std::to_string(seed) + " p=" + std::to_string(p);
+      check(g, label);
+      check(testing_support::DisjointUnion(g, block), label + " + block");
+    }
+  }
+  // Edgeless and empty graphs report 0; a star and a lone edge report 1.
+  check(MakeGraph(4, 6, {}), "edgeless");
+  check(BipartiteGraph(), "empty");
+  check(MakeGraph(1, 5, {{0, 0}, {0, 1}, {0, 4}}), "star");
+  check(MakeGraph(3, 3, {{2, 2}}), "lone edge");
 }
 
 // ------------------------------------------------------------ GeneralGraph --

@@ -17,7 +17,6 @@
 #include "api/query_session.h"
 #include "core/brute_force.h"
 #include "core/btraversal.h"
-#include "graph/core_decomposition.h"
 #include "test_support.h"
 
 namespace kbiplex {
@@ -170,24 +169,6 @@ TEST(PreparedGraphTest, QueriesExecuteOnTheInputGraph) {
   EXPECT_EQ(&prepared->ExecutionGraph(), &prepared->graph());
   prepared->Warmup();
   EXPECT_EQ(prepared->artifact_stats().adjacency_memory_bytes, 0u);
-}
-
-TEST(PreparedGraphTest, MaxUniformCoreMatchesCorePeelingDefinition) {
-  // The one-pass degeneracy peel must agree with the definition: the
-  // largest a whose (a,a)-core is non-empty.
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    for (double p : {0.15, 0.4, 0.8}) {
-      BipartiteGraph g = MakeRandomGraph({9, 7, p, seed});
-      size_t expect = 0;
-      while (!AlphaBetaCore(g, expect + 1, expect + 1).Empty()) ++expect;
-      auto prepared = PreparedGraph::Prepare(std::move(g));
-      EXPECT_EQ(prepared->MaxUniformCore(), expect)
-          << "seed=" << seed << " p=" << p;
-    }
-  }
-  // Edgeless and empty graphs report 0.
-  EXPECT_EQ(PreparedGraph::Prepare(MakeGraph(3, 3, {}))->MaxUniformCore(), 0u);
-  EXPECT_EQ(PreparedGraph::Prepare(BipartiteGraph())->MaxUniformCore(), 0u);
 }
 
 // ---------------------------------------------------------- seed parity --
