@@ -104,7 +104,7 @@ DetectionResult DetectByBiplex(const FraudDataset& data, int k,
   opts.theta_left = theta_l;
   opts.theta_right = theta_r;
   opts.max_results = budget.max_results;
-  opts.time_budget_seconds = budget.time_budget_seconds;
+  opts.max_links = budget.max_links;
   LargeMbpEngine(data.graph, opts).Run([&](const Biplex& b) {
     FlagBiplex(b, &out);
     return true;
@@ -124,7 +124,6 @@ DetectionResult DetectByBiclique(const FraudDataset& data, size_t theta_l,
   opts.theta_left = theta_l;
   opts.theta_right = theta_r;
   opts.max_results = budget.max_results;
-  opts.time_budget_seconds = budget.time_budget_seconds;
   EnumerateMaximalBicliques(core.graph, opts, [&](const Biplex& b) {
     Biplex mapped;
     for (VertexId v : b.left) mapped.left.push_back(core.left_map[v]);

@@ -53,10 +53,12 @@ struct DetectionResult {
   bool FlaggedAnything() const;
 };
 
-/// Shared knobs of the subgraph-based detectors.
+/// Shared work caps of the subgraph-based detectors. Both are counts, so
+/// a capped detection flags the same vertices on every host.
 struct DetectorBudget {
   uint64_t max_results = 100000;
-  double time_budget_seconds = 10;
+  /// Traversal links of the k-biplex detector (LargeMbpOptions::max_links).
+  uint64_t max_links = 1000000;
 };
 
 /// Flags vertices of maximal k-biplexes with sides >= (theta_l, theta_r).

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 
 namespace kbiplex {
-namespace {
+namespace internal {
 
 /// All state of one EnumAlmostSat invocation. A is the anchored side (the
 /// side of v), B the opposite side. Scratch vectors live in the (possibly
@@ -16,7 +17,7 @@ class AlmostSatEnumerator {
  public:
   AlmostSatEnumerator(const BipartiteGraph& g, const Biplex& h, Side v_side,
                       VertexId v, KPair k, const EnumAlmostSatOptions& opts,
-                      LocalSolutionCallback cb, EnumAlmostSatStats* stats)
+                      LocalStep3Callback cb, EnumAlmostSatStats* stats)
       : g_(g),
         h_(h),
         k_(k),
@@ -29,7 +30,7 @@ class AlmostSatEnumerator {
         stats_(stats),
         a_(h.SideSet(v_side)),
         b_(h.SideSet(Opposite(v_side))),
-        ws_(opts.workspace != nullptr ? *opts.workspace : local_ws_),
+        ws_(opts.workspace != nullptr ? *opts.workspace : local_ws_.emplace()),
         rec_(opts.non_adjacency != nullptr ? *opts.non_adjacency
                                            : ws_.non_adjacency) {}
 
@@ -41,12 +42,221 @@ class AlmostSatEnumerator {
     assert(rec_.NumMembers(v_side_) == a_.size() &&
            rec_.NumMembers(Opposite(v_side_)) == b_.size());
     Prepare();
+    // The Step-3 marks live in the caller's workspace: restore them even
+    // when the callback throws.
+    struct ClearOnExit {
+      AlmostSatEnumerator* e;
+      ~ClearOnExit() { e->ClearStep3(); }
+    } clear_on_exit{this};
     bool go = RunSubsets();
     if (stats_ != nullptr) stats_->adjacency_tests += adj_tests_;
     return go;
   }
 
+  // Step 3 on the local solution being reported (see LocalStep3). Every
+  // answer walks adjacency lists against per-vertex flag marks
+  // (kInH / kInL / kBound), so the walks are branch-free counts.
+
+  bool OppositeAddable(const MaximalExtender& fallback) {
+    MarkLocal();
+    std::vector<uint32_t>& ma = ws_.marks[SideIndex(v_side_)];
+    const std::vector<uint32_t>& mb = ws_.marks[SideIndex(Opposite(v_side_))];
+    // Slackless members of L's anchored side (at budget k_A inside L): a
+    // member of A with k_A record entries all in B', or v when |B''| = k_A.
+    VertexId x = kInvalidVertex;  // slackless member of min degree
+    auto slackless = [&](VertexId id) {
+      ma[id] |= kBound;
+      ws_.bound_list.push_back(id);
+      if (x == kInvalidVertex ||
+          g_.Degree(v_side_, id) < g_.Degree(v_side_, x)) {
+        x = id;
+      }
+    };
+    for (uint32_t j : ws_.full_a) {
+      if (ws_.in_abar[j]) continue;
+      std::span<const uint32_t> nn = NonNeighborsOfA(j);
+      if (std::all_of(nn.begin(), nn.end(),
+                      [&](uint32_t i) { return InBPrime(i); })) {
+        slackless(a_[j]);
+      }
+    }
+    if (bpp_size_ == ka_) slackless(v_);
+    if (x == kInvalidVertex) {
+      return fallback.AnyAddable(ws_.loc, Opposite(v_side_));
+    }
+    // Check (c) rules out B \ B', and a candidate must neighbour x: test
+    // the outsiders of Γ(x), each by one walk of its own list.
+    const size_t num_slackless = ws_.bound_list.size();
+    const size_t l_size = a_.size() - ws_.abar.size() + 1;
+    bool found = false;
+    for (VertexId u : Outsiders(g_.Neighbors(v_side_, x), mb)) {
+      size_t conn = 0;
+      size_t conn_slackless = 0;
+      for (VertexId w : g_.Neighbors(Opposite(v_side_), u)) {
+        conn += ma[w] & kInL;
+        conn_slackless += (ma[w] & kBound) >> 1;
+      }
+      if (l_size - conn <= kb_ && conn_slackless == num_slackless) {
+        found = true;
+        break;
+      }
+    }
+    for (VertexId id : ws_.bound_list) ma[id] &= ~kBound;
+    ws_.bound_list.clear();
+    return found;
+  }
+
+  std::span<const VertexId> ExtendAnchored(Biplex* sol,
+                                           const MaximalExtender& fallback) {
+    MarkLocal();
+    const Side opp = Opposite(v_side_);
+    const std::vector<uint32_t>& ma = ws_.marks[SideIndex(v_side_)];
+    std::vector<uint32_t>& mb = ws_.marks[SideIndex(opp)];
+    std::vector<VertexId>& added = ws_.added;
+    added.clear();
+    auto make_tight = [&](size_t i) {
+      mb[b_[i]] |= kBound;
+      ws_.bound_list.push_back(b_[i]);
+    };
+    // Tight members of B' (at budget k_B against L's anchored side).
+    VertexId b0 = kInvalidVertex;  // tight member of min degree
+    for (uint32_t i : ws_.full_b) {
+      if (!InBPrime(i) || DiscInCandidateA(i) != kb_) continue;
+      make_tight(i);
+      if (b0 == kInvalidVertex || g_.Degree(opp, b_[i]) < g_.Degree(opp, b0)) {
+        b0 = b_[i];
+      }
+    }
+    std::vector<VertexId>& anchored = sol->MutableSideSet(v_side_);
+    if (b0 == kInvalidVertex) {
+      fallback.Extend(sol, v_side_ == Side::kLeft, v_side_ == Side::kRight);
+      const std::vector<VertexId>& before = ws_.loc.SideSet(v_side_);
+      std::set_difference(anchored.begin(), anchored.end(), before.begin(),
+                          before.end(), std::back_inserter(added));
+      return added;
+    }
+    // Check (b) keeps Ā ruled out as L grows, and a candidate must
+    // neighbour b0: test the outsiders of Γ(b0) in ascending order, each
+    // by one walk of its own list. An accepted vertex raises the
+    // disconnections of the members of B' it misses.
+    const size_t b_size = b_keep_size_ + bpp_size_;
+    bool disc_ready = false;
+    for (VertexId w : Outsiders(g_.Neighbors(opp, b0), ma)) {
+      size_t conn = 0;
+      size_t conn_tight = 0;
+      for (VertexId u : g_.Neighbors(v_side_, w)) {
+        conn += mb[u] & kInL;
+        conn_tight += (mb[u] & kBound) >> 1;
+      }
+      if (b_size - conn > ka_ || conn_tight != ws_.bound_list.size()) {
+        continue;
+      }
+      added.push_back(w);
+      if (!disc_ready) {
+        disc_ready = true;
+        ws_.disc_b.resize(b_.size());
+        for (size_t i = 0; i < b_.size(); ++i) {
+          if (InBPrime(i)) {
+            ws_.disc_b[i] = static_cast<uint32_t>(DiscInCandidateA(i));
+          }
+        }
+      }
+      g_.ForEachAdjacency(v_side_, w, b_, [&](size_t i, bool adjacent) {
+        if (!adjacent && InBPrime(i) && ++ws_.disc_b[i] == kb_) make_tight(i);
+      });
+    }
+    for (VertexId id : ws_.bound_list) mb[id] &= ~kBound;
+    ws_.bound_list.clear();
+    // Merge the (ascending) added vertices into the anchored side.
+    size_t i = anchored.size();
+    size_t j = added.size();
+    anchored.resize(i + j);
+    for (size_t out = anchored.size(); j > 0;) {
+      if (i > 0 && anchored[i - 1] > added[j - 1]) {
+        anchored[--out] = anchored[--i];
+      } else {
+        anchored[--out] = added[--j];
+      }
+    }
+    return added;
+  }
+
  private:
+  // Step-3 vertex marks (ws_.marks): kInH on H's members and v, kInL on
+  // the members of the local solution L, kBound on L's members at their
+  // budget during one Step-3 query.
+  static constexpr uint32_t kInL = 1;
+  static constexpr uint32_t kBound = 2;
+  static constexpr uint32_t kInH = 4;
+
+  /// The vertices of `list` outside H ∪ {v}, collected without a branch
+  /// per entry (about half of a dense neighbourhood is inside H).
+  std::span<const VertexId> Outsiders(std::span<const VertexId> list,
+                                      const std::vector<uint32_t>& marks) {
+    std::vector<VertexId>& out = ws_.outsiders;
+    out.resize(list.size());
+    size_t n = 0;
+    for (VertexId x : list) {
+      out[n] = x;
+      n += (marks[x] & kInH) == 0;
+    }
+    return {out.data(), n};
+  }
+
+  /// Marks L by vertex id on a local solution's first Step-3 query: H's
+  /// members, v and the per-call lists of members that can reach their
+  /// budget once per call, then L's differences from B_keep and A ∪ {v}.
+  void MarkLocal() {
+    if (local_marked_) return;
+    local_marked_ = true;
+    std::vector<uint32_t>& ma = ws_.marks[SideIndex(v_side_)];
+    std::vector<uint32_t>& mb = ws_.marks[SideIndex(Opposite(v_side_))];
+    if (!step3_ready_) {
+      step3_ready_ = true;
+      if (ma.size() < g_.NumOnSide(v_side_)) ma.resize(g_.NumOnSide(v_side_));
+      if (mb.size() < g_.NumOnSide(Opposite(v_side_))) {
+        mb.resize(g_.NumOnSide(Opposite(v_side_)));
+      }
+      ws_.full_a.clear();
+      for (size_t j = 0; j < a_.size(); ++j) {
+        ma[a_[j]] = kInH | kInL;
+        if (NonNeighborsOfA(j).size() == ka_) {
+          ws_.full_a.push_back(static_cast<uint32_t>(j));
+        }
+      }
+      ma[v_] = kInH | kInL;
+      ws_.full_b.clear();
+      for (size_t i = 0; i < b_.size(); ++i) {
+        mb[b_[i]] = kInH | (ws_.v_adj_b[i] ? kInL : 0);
+        if (NonNeighborsOfB(i).size() + (ws_.v_adj_b[i] ? 0 : 1) >= kb_) {
+          ws_.full_b.push_back(static_cast<uint32_t>(i));
+        }
+      }
+    }
+    ToggleLocal();
+  }
+
+  /// Flips kInL on Ā and B'', the members where L differs from A ∪ {v}
+  /// and B_keep: MarkLocal's second half, and its undo after the callback.
+  void ToggleLocal() {
+    std::vector<uint32_t>& ma = ws_.marks[SideIndex(v_side_)];
+    std::vector<uint32_t>& mb = ws_.marks[SideIndex(Opposite(v_side_))];
+    for (size_t j : ws_.abar) ma[a_[j]] ^= kInL;
+    for (size_t c : *bpp1_) mb[b_[ws_.b1[c]]] ^= kInL;
+    for (size_t i : ws_.bpp2) mb[b_[i]] ^= kInL;
+  }
+
+  /// Restores the all-zero vertex marks after a call that used them.
+  void ClearStep3() {
+    if (!step3_ready_) return;
+    ws_.bound_list.clear();
+    std::vector<uint32_t>& ma = ws_.marks[SideIndex(v_side_)];
+    std::vector<uint32_t>& mb = ws_.marks[SideIndex(Opposite(v_side_))];
+    for (VertexId a : a_) ma[a] = 0;
+    ma[v_] = 0;
+    for (VertexId b : b_) mb[b] = 0;
+  }
+
   /// Non-neighbours of A[j] in B, as indices into B.
   std::span<const uint32_t> NonNeighborsOfA(size_t j) const {
     return rec_.Of(v_side_, j);
@@ -155,6 +365,7 @@ class AlmostSatEnumerator {
                         ws_.req.begin(), ws_.req.end(),
                         std::back_inserter(ws_.rest));
 
+    bpp1_ = &c1;
     auto mark_bpp = [&](char on) {
       for (size_t c : c1) ws_.in_bpp[ws_.b1[c]] = on;
       for (size_t i : ws_.bpp2) ws_.in_bpp[i] = on;
@@ -182,13 +393,16 @@ class AlmostSatEnumerator {
                    ws_.req.end(), std::back_inserter(ws_.merged));
         std::swap(ws_.abar, ws_.merged);
       }
+      // The Ā marks stay set through the callback, for LocalStep3.
       for (size_t j : ws_.abar) ws_.in_abar[j] = 1;
-      const bool local = CandidateIsLocalSolution();
+      bool go = true;
+      if (CandidateIsLocalSolution()) {
+        if (opts_.l_variant == LRefinement::kL20) en.PruneSupersetsOfCurrent();
+        if (stats_ != nullptr) ++stats_->local_solutions;
+        go = EmitCandidate();
+      }
       for (size_t j : ws_.abar) ws_.in_abar[j] = 0;
-      if (!local) continue;
-      if (opts_.l_variant == LRefinement::kL20) en.PruneSupersetsOfCurrent();
-      if (stats_ != nullptr) ++stats_->local_solutions;
-      if (!EmitCandidate()) return false;
+      if (!go) return false;
     }
     return true;
   }
@@ -269,7 +483,12 @@ class AlmostSatEnumerator {
     for (size_t i = 0; i < b_.size(); ++i) {
       if (InBPrime(i)) other.push_back(b_[i]);
     }
-    return cb_(loc);
+    const bool go = cb_(loc, LocalStep3(this));
+    if (local_marked_) {
+      local_marked_ = false;
+      ToggleLocal();
+    }
+    return go;
   }
 
   const BipartiteGraph& g_;
@@ -280,23 +499,40 @@ class AlmostSatEnumerator {
   const size_t ka_;  // budget of the anchored side (v's own side)
   const size_t kb_;  // budget of the opposite side
   const EnumAlmostSatOptions& opts_;
-  const LocalSolutionCallback cb_;
+  const LocalStep3Callback cb_;
   EnumAlmostSatStats* stats_;
 
   const std::vector<VertexId>& a_;
   const std::vector<VertexId>& b_;
 
-  EnumAlmostSatWorkspace local_ws_;  // fallback when no workspace is given
+  // Fallback when no workspace is given; built only then.
+  std::optional<EnumAlmostSatWorkspace> local_ws_;
   EnumAlmostSatWorkspace& ws_;
   BiplexNonAdjacency& rec_;  // H's non-adjacency record
 
   size_t b_keep_size_ = 0;  // |B_keep|: members of B adjacent to v
   size_t bpp_size_ = 0;     // |B''| of the current B'' choice
+
+  // B''_1 of the current B'' choice, as indices into B1.
+  const std::vector<size_t>* bpp1_ = nullptr;
+  // What ws_.marks holds: H and v once step3_ready_, the reported L too
+  // while local_marked_.
+  bool step3_ready_ = false;
+  bool local_marked_ = false;
   uint32_t deadline_poll_ = 0;
   uint64_t adj_tests_ = 0;
 };
 
-}  // namespace
+}  // namespace internal
+
+bool LocalStep3::OppositeAddable(const MaximalExtender& fallback) const {
+  return e_->OppositeAddable(fallback);
+}
+
+std::span<const VertexId> LocalStep3::ExtendAnchored(
+    Biplex* sol, const MaximalExtender& fallback) const {
+  return e_->ExtendAnchored(sol, fallback);
+}
 
 uint64_t BiplexNonAdjacency::Build(const BipartiteGraph& g, const Biplex& h,
                                    KPair k) {
@@ -334,11 +570,21 @@ uint64_t BiplexNonAdjacency::Build(const BipartiteGraph& g, const Biplex& h,
 
 bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h, Side v_side,
                    VertexId v, KPair k, const EnumAlmostSatOptions& opts,
-                   LocalSolutionCallback cb, EnumAlmostSatStats* stats) {
+                   LocalStep3Callback cb, EnumAlmostSatStats* stats) {
   assert(k.left >= 1 && k.right >= 1);
   assert(!sorted::Contains(h.SideSet(v_side), v));
-  AlmostSatEnumerator e(g, h, v_side, v, k, opts, cb, stats);
+  internal::AlmostSatEnumerator e(g, h, v_side, v, k, opts, cb, stats);
   return e.Run();
+}
+
+bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h, Side v_side,
+                   VertexId v, KPair k, const EnumAlmostSatOptions& opts,
+                   LocalSolutionCallback cb, EnumAlmostSatStats* stats) {
+  auto solution_only = [cb](const Biplex& loc, const LocalStep3&) {
+    return cb(loc);
+  };
+  return EnumAlmostSat(g, h, v_side, v, k, opts,
+                       LocalStep3Callback(solution_only), stats);
 }
 
 }  // namespace kbiplex

@@ -15,6 +15,14 @@
 // B_keep, B1 and B2; every later question (A_remo, k-biplex validity,
 // local maximality) scans record entries, with no edge search.
 //
+// Step 3 of left-anchored, right-shrinking traversal (Algorithm 2, lines 7
+// and 8) reads the same data through the LocalStep3 view handed to the
+// callback: inside a local solution L a member's disconnections are its
+// record entries filtered by the B_keep / B'' / Ā marks, and the
+// local-maximality checks already rule out every vertex of H as an
+// addition, so only outsiders adjacent to one budget-bound member of L are
+// tested, each by one walk of its own adjacency list.
+//
 // Refinements, each selectable independently (evaluated in Figure 12):
 //   R1.0: enumerate only B'' ⊆ B_enum with |B''| <= k, keeping B_keep
 //         (v's neighbors in B) in every local solution (Lemma 4.1).
@@ -86,6 +94,36 @@ class BiplexNonAdjacency {
   bool built_ = false;
 };
 
+namespace internal {
+class AlmostSatEnumerator;
+}  // namespace internal
+
+/// Step 3 of left-anchored, right-shrinking traversal on the local solution
+/// L = (A \ Ā ∪ {v}, B_keep ∪ B'') being reported, decided from H's
+/// non-adjacency record and the enumerator's marks instead of an adjacency
+/// sweep over L. Each answer equals MaximalExtender's on L; an L with no
+/// member at its budget on the side that bounds the candidates falls back
+/// to the given extender, which must use the same graph and k. Valid only
+/// during the callback it is passed to; not thread-safe (it uses the
+/// workspace's scratch).
+class LocalStep3 {
+ public:
+  /// Algorithm 2, line 7: true iff some vertex of B's side outside L can
+  /// join L, i.e. fallback.AnyAddable(L, opposite side).
+  bool OppositeAddable(const MaximalExtender& fallback) const;
+
+  /// Algorithm 2, line 8: grows `*sol`, which must equal L, on the
+  /// anchored side exactly as fallback.Extend would, and returns the
+  /// anchored vertices it added, ascending (valid until the next call).
+  std::span<const VertexId> ExtendAnchored(
+      Biplex* sol, const MaximalExtender& fallback) const;
+
+ private:
+  friend class internal::AlmostSatEnumerator;
+  explicit LocalStep3(internal::AlmostSatEnumerator* e) : e_(e) {}
+  internal::AlmostSatEnumerator* e_;
+};
+
 /// Reusable scratch buffers of one EnumAlmostSat invocation. The traversal
 /// engines call EnumAlmostSat once per candidate vertex — thousands of
 /// times per second — and each call needs ~15 scratch vectors; routing the
@@ -108,6 +146,16 @@ struct EnumAlmostSatWorkspace {
   std::vector<size_t> comb1, comb2;   // B''_1 / B''_2 combinations (into B1/B2)
   BoundedSubsetEnumerator removal_sets;  // removal sets of one B'' choice
   Biplex loc;                         // local-solution assembly buffer
+  // LocalStep3 scratch. marks[s] holds per-vertex flags of side s (H's
+  // members and v, the local solution, members at their budget); it is
+  // set on a call's first Step-3 query and all zero between calls.
+  std::vector<uint32_t> marks[2];
+  std::vector<uint32_t> full_a;      // A-members with k_A record entries
+  std::vector<uint32_t> full_b;      // B-members that can reach k_B in L
+  std::vector<VertexId> bound_list;  // members flagged at their budget
+  std::vector<uint32_t> disc_b;      // δ̄(B[i], anchored side of the growth)
+  std::vector<VertexId> outsiders;   // candidates of one Step-3 query
+  std::vector<VertexId> added;       // anchored vertices ExtendAnchored added
 };
 
 /// Configuration of one EnumAlmostSat invocation.
@@ -155,17 +203,26 @@ struct EnumAlmostSatStats {
 /// non-owning reference: the callable must outlive the EnumAlmostSat call.
 using LocalSolutionCallback = FunctionRef<bool(const Biplex&)>;
 
+/// A local-solution callback that also receives the Step-3 view of the
+/// reported solution (same lifetime rules).
+using LocalStep3Callback = FunctionRef<bool(const Biplex&, const LocalStep3&)>;
+
 /// Enumerates all local solutions within the almost-satisfying graph
 /// (A ∪ {v}, B), where `h` is a k-biplex of `g`, A = h's side `v_side`,
 /// B = the opposite side, and `v` (on side `v_side`) is not in A. Every
 /// reported Biplex contains v on side `v_side`. Throws std::logic_error
-/// when `h` is not a k-biplex (see BiplexNonAdjacency::Build).
+/// when `h` is not a k-biplex (see BiplexNonAdjacency::Build). The
+/// LocalStep3Callback form also hands the callback each solution's Step-3
+/// view.
 ///
 /// Returns false iff the callback requested a stop.
 bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h, Side v_side,
                    VertexId v, KPair k, const EnumAlmostSatOptions& opts,
                    LocalSolutionCallback cb,
                    EnumAlmostSatStats* stats = nullptr);
+bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h, Side v_side,
+                   VertexId v, KPair k, const EnumAlmostSatOptions& opts,
+                   LocalStep3Callback cb, EnumAlmostSatStats* stats = nullptr);
 inline bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h,
                           Side v_side, VertexId v, int k,
                           const EnumAlmostSatOptions& opts,

@@ -559,7 +559,9 @@ class TraversalEngine::Impl {
       grow_left = opts_.anchored_side == Side::kLeft;
       grow_right = opts_.anchored_side == Side::kRight;
     }
-    auto handle_local = [&](const Biplex& loc) -> bool {
+    const bool anchored_step3 = opts_.left_anchored && opts_.right_shrinking;
+    // Counts a local solution; false when the run must stop.
+    auto count_local = [&]() -> bool {
       ++stats_.local_solutions;
       if ((stats_.local_solutions & 0xfu) == 0 &&
           ((deadline_ != nullptr && deadline_->Expired()) ||
@@ -568,11 +570,17 @@ class TraversalEngine::Impl {
         stats_.completed = false;
         return false;
       }
+      return true;
+    };
+    // Step 3 by the general extender (bTraversal, the inflation local
+    // path, and left-anchored runs without right-shrinking).
+    auto handle_local = [&](const Biplex& loc) -> bool {
+      if (!count_local()) return false;
       if (opts_.exclusion && IntersectsExclusion(*f, loc)) {
         ++stats_.links_pruned_exclusion;
         return true;
       }
-      if (opts_.left_anchored && opts_.right_shrinking) {
+      if (anchored_step3) {
         // Right-shrinking filter (Algorithm 2, line 7): discard local
         // solutions to which some non-anchored vertex is still addable.
         if (extender_.AnyAddable(loc, Opposite(opts_.anchored_side))) {
@@ -587,19 +595,33 @@ class TraversalEngine::Impl {
         ++stats_.links_pruned_exclusion;
         return true;
       }
-      ++stats_.links;
-      if (opts_.max_links != 0 && stats_.links >= opts_.max_links) {
-        stop_ = true;
-        stats_.completed = false;
-        return false;
+      return AddLink(f, sol);
+    };
+    // Step 3 of left-anchored, right-shrinking traversal on EnumAlmostSat's
+    // data. Only anchored vertices are ever excluded under left-anchored
+    // traversal, and the candidate and local-enumeration filters keep v
+    // and A \ Ā clear of the exclusion set, so a local solution meets it
+    // only through a vertex the extension adds.
+    auto handle_anchored = [&](const Biplex& loc,
+                               const LocalStep3& step3) -> bool {
+      if (!count_local()) return false;
+      if (step3.OppositeAddable(extender_)) {  // Algorithm 2, line 7
+        ++stats_.links_pruned_right_shrinking;
+        return true;
       }
-      if (seen_.insert(EncodeBiplexKey(sol)).second) {
-        ++stats_.solutions_found;
-        f->batch.push_back(sol);
-      } else {
-        ++stats_.dedup_hits;
+      Biplex& sol = extend_buf_;
+      sol = loc;  // reuses the buffer's capacity
+      std::span<const VertexId> added = step3.ExtendAnchored(&sol, extender_);
+      if (opts_.exclusion) {
+        const DynamicBitset& excl = f->excl[SideIndex(side)];
+        for (VertexId x : added) {
+          if (excl.Test(x)) {
+            ++stats_.links_pruned_exclusion;
+            return true;
+          }
+        }
       }
-      return true;
+      return AddLink(f, sol);
     };
 
     if (opts_.local_impl == LocalEnumImpl::kDirect) {
@@ -613,8 +635,14 @@ class TraversalEngine::Impl {
       if (opts_.prune_small && opts_.right_shrinking && theta_other > 0) {
         lopts.min_b_size = theta_other;  // local-solution pruning
       }
-      bool completed = EnumAlmostSat(g_, f->h, side, v, opts_.k, lopts,
-                                     handle_local, &stats_.local_stats);
+      bool completed;
+      if (anchored_step3) {
+        completed = EnumAlmostSat(g_, f->h, side, v, opts_.k, lopts,
+                                  handle_anchored, &stats_.local_stats);
+      } else {
+        completed = EnumAlmostSat(g_, f->h, side, v, opts_.k, lopts,
+                                  handle_local, &stats_.local_stats);
+      }
       if (!completed && !stop_ && deadline_ != nullptr &&
           deadline_->Expired()) {
         stop_ = true;
@@ -623,6 +651,24 @@ class TraversalEngine::Impl {
     } else {
       EnumAlmostSatByInflation(g_, f->h, side, v, opts_.k, handle_local);
     }
+  }
+
+  /// Records the link to `sol`; the frame recurses into it on its first
+  /// discovery. False when max_links stops the run.
+  bool AddLink(Frame* f, const Biplex& sol) {
+    ++stats_.links;
+    if (opts_.max_links != 0 && stats_.links >= opts_.max_links) {
+      stop_ = true;
+      stats_.completed = false;
+      return false;
+    }
+    if (seen_.insert(EncodeBiplexKey(sol)).second) {
+      ++stats_.solutions_found;
+      f->batch.push_back(sol);
+    } else {
+      ++stats_.dedup_hits;
+    }
+    return true;
   }
 
   bool IntersectsExclusion(const Frame& f, const Biplex& b) const {

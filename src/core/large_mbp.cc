@@ -16,6 +16,7 @@ LargeMbpStats LargeMbpEngine::Run(const SolutionCallback& cb) {
   topts.theta_right = opts_.theta_right;
   topts.prune_small = true;
   topts.max_results = opts_.max_results;
+  topts.max_links = opts_.max_links;
   topts.time_budget_seconds = opts_.time_budget_seconds;
   topts.cancel = opts_.cancel;
   topts.scratch = opts_.scratch;

@@ -23,6 +23,10 @@ struct LargeMbpOptions {
   /// least θ−k neighbors inside it.
   bool core_reduction = true;
   uint64_t max_results = 0;
+  /// Stops after this many links of the traversal (0 = no cap): a work
+  /// budget that, unlike the time budget, cuts every run at the same
+  /// solution.
+  uint64_t max_links = 0;
   double time_budget_seconds = 0;
   /// Optional cooperative cancellation, forwarded to the traversal engine;
   /// not owned, may be null.

@@ -99,6 +99,8 @@ class EdgeListStreamParser {
       return Fail(rec.line_no, "vertex id too large");
     }
     all_two_columns_ = all_two_columns_ && rec.columns == 2;
+    if (rec.a > max_a_) max_a_line_ = rec.line_no;
+    if (rec.b > max_b_) max_b_line_ = rec.line_no;
     max_a_ = std::max(max_a_, rec.a);
     max_b_ = std::max(max_b_, rec.b);
     if (out_of_declared_range_line_ == 0 &&
@@ -235,12 +237,26 @@ class EdgeListStreamParser {
         }
         edges_.emplace_back(static_cast<VertexId>(first_.a),
                             static_cast<VertexId>(first_.b));
+        // The first line is the earliest, so it wins ties.
+        if (first_.a >= max_a_) max_a_line_ = first_.line_no;
+        if (first_.b >= max_b_) max_b_line_ = first_.line_no;
         max_a_ = std::max(max_a_, first_.a);
         max_b_ = std::max(max_b_, first_.b);
       }
       if (!edges_.empty()) {
         num_left = max_a_ + 1;
         num_right = max_b_ + 1;
+      }
+      // Each edge line touches one vertex per side, so an inferred side
+      // more than kMaxDeclaredIsolatedVertices above the edge count has
+      // that many isolated vertices, the header path's bound. Checked
+      // before FromEdges allocates the offset arrays.
+      const uint64_t limit = edges_.size() + kMaxDeclaredIsolatedVertices;
+      if (num_left > limit || num_right > limit) {
+        Fail(num_left > limit ? max_a_line_ : max_b_line_,
+             "inferred side size exceeds the edge count by more than " +
+                 std::to_string(kMaxDeclaredIsolatedVertices));
+        return {std::nullopt, error_};
       }
     }
     return {BipartiteGraph::FromEdges(num_left, num_right,
@@ -264,6 +280,8 @@ class EdgeListStreamParser {
   bool all_two_columns_ = true;
   uint64_t max_a_ = 0;
   uint64_t max_b_ = 0;
+  size_t max_a_line_ = 0;  // line of the first occurrence of max_a_
+  size_t max_b_line_ = 0;
   size_t out_of_declared_range_line_ = 0;  // 0 = none
 };
 

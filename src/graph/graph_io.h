@@ -18,7 +18,8 @@
 //     truncated file and fails. A header may declare at most
 //     kMaxDeclaredIsolatedVertices vertices per side beyond the largest id
 //     + 1 on that side. Without a header the side sizes are inferred as
-//     max id + 1.
+//     max id + 1, and a side may exceed the edge count by at most
+//     kMaxDeclaredIsolatedVertices.
 #ifndef KBIPLEX_GRAPH_GRAPH_IO_H_
 #define KBIPLEX_GRAPH_GRAPH_IO_H_
 
@@ -41,7 +42,9 @@ struct LoadResult {
 /// Most isolated vertices a header may declare on one side: an "L R M"
 /// header whose L (or R) exceeds the largest left (right) id + 1 by more
 /// than this fails to parse before anything is allocated, so a few bytes
-/// of header cannot demand gigabytes of offset arrays. Isolated vertices
+/// of header cannot demand gigabytes of offset arrays. A headerless list
+/// whose inferred side size (largest id + 1) exceeds its edge count by
+/// more than this fails the same way. Isolated vertices
 /// beyond the largest id only exist through the header, and no
 /// enumeration result depends on them.
 inline constexpr uint64_t kMaxDeclaredIsolatedVertices = uint64_t{1} << 24;

@@ -9,6 +9,8 @@
 #include "baselines/inflation_enum.h"
 #include "core/brute_force.h"
 #include "core/enum_almost_sat.h"
+#include "core/itraversal.h"
+#include "util/dynamic_bitset.h"
 #include "graph/generators.h"
 #include "test_support.h"
 #include "util/random.h"
@@ -355,6 +357,108 @@ TEST(BiplexNonAdjacency, SharedRecordMatchesColdCalls) {
   }
   EXPECT_GT(calls, 100u);
   EXPECT_GT(emitted, calls);
+}
+
+/// Local solutions checked by CheckStep3, by which path decided them.
+struct Step3Tally {
+  size_t slackless = 0;     // right-shrinking decided from the record
+  size_t no_slackless = 0;  // ... by the fallback
+  size_t tight = 0;         // extension decided from the record
+  size_t no_tight = 0;      // ... by the fallback
+  size_t grown = 0;         // extensions that added a vertex
+};
+
+/// Compares both LocalStep3 answers on the local solution `loc` (anchored
+/// side `side`) with MaximalExtender's on a copy.
+void CheckStep3(const BipartiteGraph& g, const MaximalExtender& ext, KPair k,
+                Side side, const Biplex& loc, const LocalStep3& step3,
+                Step3Tally* tally) {
+  const Side opp = Opposite(side);
+  const size_t ka = static_cast<size_t>(k.ForSide(side));
+  const size_t kb = static_cast<size_t>(k.ForSide(opp));
+  const std::vector<VertexId>& la = loc.SideSet(side);
+  const std::vector<VertexId>& lb = loc.SideSet(opp);
+  bool any_slackless = false;
+  for (VertexId x : la) any_slackless |= g.DiscCount(side, x, lb) == ka;
+  bool any_tight = false;
+  for (VertexId u : lb) any_tight |= g.DiscCount(opp, u, la) == kb;
+  ++(any_slackless ? tally->slackless : tally->no_slackless);
+  ++(any_tight ? tally->tight : tally->no_tight);
+
+  EXPECT_EQ(step3.OppositeAddable(ext), ext.AnyAddable(loc, opp))
+      << ToString(loc);
+  Biplex want = loc;
+  ext.Extend(&want, side == Side::kLeft, side == Side::kRight);
+  Biplex got = loc;
+  std::span<const VertexId> added = step3.ExtendAnchored(&got, ext);
+  EXPECT_EQ(got, want) << ToString(loc);
+  std::vector<VertexId> want_added;
+  std::set_difference(want.SideSet(side).begin(), want.SideSet(side).end(),
+                      la.begin(), la.end(), std::back_inserter(want_added));
+  EXPECT_EQ(std::vector<VertexId>(added.begin(), added.end()), want_added);
+  tally->grown += !want_added.empty();
+}
+
+// Step 3 read from the enumerator's data (LocalStep3) decides exactly as
+// MaximalExtender does on every local solution: the right-shrinking test
+// and the anchored-side extension. The sweep covers asymmetric budgets,
+// both anchored sides, exclusion filters, the Section 5 size prune, and
+// local solutions with and without a member at its budget (the fallback
+// to the extender).
+TEST(LocalStep3, MatchesMaximalExtenderOnEveryLocalSolution) {
+  const std::vector<testing_support::RandomGraphCase> graphs = {
+      {9, 10, 0.55, 41},
+      {11, 9, 0.3, 42},
+      {12, 12, 0.15, 43},
+      {8, 8, 0.8, 44},
+  };
+  const KPair ks[] = {{1, 1}, {2, 2}, {3, 3}, {1, 3}, {2, 1}};
+  Step3Tally tally;
+  EnumAlmostSatWorkspace ws;  // shared across graphs of every size
+  Rng rng(7);
+  for (const auto& gc : graphs) {
+    const BipartiteGraph g = MakeRandomGraph(gc);
+    for (KPair k : ks) {
+      MaximalExtender ext(g, k);
+      TraversalOptions topts;
+      topts.k = k;
+      topts.max_results = 12;
+      std::vector<Biplex> frames;
+      TraversalEngine(g, topts).Run([&](const Biplex& b) {
+        frames.push_back(b);
+        return true;
+      });
+      for (const Biplex& h : frames) {
+        for (Side side : {Side::kLeft, Side::kRight}) {
+          const std::vector<VertexId>& a = h.SideSet(side);
+          auto check = [&](const Biplex& loc, const LocalStep3& step3) {
+            CheckStep3(g, ext, k, side, loc, step3, &tally);
+            return true;
+          };
+          for (VertexId v = 0; v < g.NumOnSide(side); ++v) {
+            if (sorted::Contains(a, v)) continue;
+            for (int variant = 0; variant < 4; ++variant) {
+              const bool exclusion = (variant & 1) != 0;
+              DynamicBitset excl_a(g.NumOnSide(side));
+              for (VertexId x : a) {
+                if (exclusion && rng.NextBelow(5) == 0) excl_a.Set(x);
+              }
+              EnumAlmostSatOptions opts;
+              opts.workspace = &ws;
+              opts.min_b_size = (variant & 2) != 0 ? 3 : 0;
+              if (exclusion) opts.excluded_anchored = &excl_a;
+              EnumAlmostSat(g, h, side, v, k, opts, check);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(tally.slackless, 1000u);
+  EXPECT_GT(tally.no_slackless, 100u);
+  EXPECT_GT(tally.tight, 1000u);
+  EXPECT_GT(tally.no_tight, 100u);
+  EXPECT_GT(tally.grown, 100u);
 }
 
 // A member with more than k non-neighbours in H is reported by an

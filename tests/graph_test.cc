@@ -397,6 +397,28 @@ TEST(GraphIo, HugeDeclaredSideSizeFailsBeforeAllocating) {
   EXPECT_NE(r.error.find("line 2"), std::string::npos) << r.error;
 }
 
+TEST(GraphIo, HugeInferredSideSizeFailsBeforeAllocating) {
+  // A 22-byte headerless list whose largest ids infer 2^32 - 1 vertices
+  // per side must fail to parse instead of allocating the offset arrays.
+  auto r = ParseEdgeList("4294967294 4294967294\n");
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("parse error at line 1"), std::string::npos)
+      << r.error;
+  // The slack is counted from the edge count; the error names the line of
+  // the offending side's largest id.
+  const std::string big = std::to_string(kMaxDeclaredIsolatedVertices + 10);
+  r = ParseEdgeList("0 0\n1 1\n0 " + big + "\n" + big + " 1\n");
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("line 4"), std::string::npos) << r.error;
+  r = ParseEdgeList("# right side\n0 " + big + "\n1 2\n");
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("line 2"), std::string::npos) << r.error;
+  // A few thousand isolated vertices still load.
+  r = ParseEdgeList("0 1\n3 5000\n");
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.graph->NumRight(), 5001u);
+}
+
 TEST(GraphIo, CrlfLinesParse) {
   auto r = ParseEdgeList("2 2 1\r\n0 1\r\n");
   ASSERT_TRUE(r.ok()) << r.error;
