@@ -11,6 +11,7 @@
 #include "core/enum_almost_sat.h"
 #include "graph/core_decomposition.h"
 #include "graph/generators.h"
+#include "util/dynamic_bitset.h"
 #include "util/random.h"
 
 namespace kbiplex {
@@ -80,6 +81,55 @@ void BM_EnumAlmostSat(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnumAlmostSat)->Arg(1)->Arg(2)->Arg(3);
+
+// BM_EnumAlmostSat's calls with iTraversal's Step 3 asked on every local
+// solution: the right-shrinking test, then the anchored extension of the
+// solutions it keeps. Args: k, and whether a random fifth of the left
+// side is excluded (filtering Step 2 and stopping extensions). The graph
+// is Crime: on Writer, iTraversal does not reach 50 solutions at k = 2.
+void BM_LocalStep3(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const bool exclusion = state.range(1) != 0;
+  auto g = bench::MakeDataset(bench::FindDataset("Crime"));
+  std::vector<Biplex> sols;
+  CallbackSink sink([&](const Biplex& b) {
+    if (b.Size() <= 300) sols.push_back(b);
+    return true;
+  });
+  Enumerator(g).Run(bench::MakeRequest("itraversal", k, 50, 0), &sink);
+  if (sols.empty()) {
+    state.SkipWithError("no solutions");
+    return;
+  }
+  Rng rng(6);
+  DynamicBitset excluded(g.NumLeft());
+  for (VertexId x = 0; exclusion && x < g.NumLeft(); ++x) {
+    if (rng.NextBelow(5) == 0) excluded.Set(x);
+  }
+  EnumAlmostSatOptions opts;
+  EnumAlmostSatWorkspace ws;
+  opts.workspace = &ws;
+  if (exclusion) opts.excluded_anchored = &excluded;
+  Biplex out;
+  size_t i = 0;
+  for (auto _ : state) {
+    const Biplex& h = sols[i++ % sols.size()];
+    VertexId v;
+    do {
+      v = static_cast<VertexId>(rng.NextBelow(g.NumLeft()));
+    } while (sorted::Contains(h.left, v) || excluded.Test(v));
+    size_t grown = 0;
+    auto step3 = [&](const LocalStep3& s) {
+      if (!s.OppositeAddable()) {
+        grown += s.ExtendAnchored(&out, opts.excluded_anchored).size();
+      }
+      return true;
+    };
+    EnumAlmostSat(g, h, Side::kLeft, v, KPair::Uniform(k), opts, step3);
+    benchmark::DoNotOptimize(grown);
+  }
+}
+BENCHMARK(BM_LocalStep3)->ArgsProduct({{1, 2}, {0, 1}});
 
 void BM_ExtendToMaximal(benchmark::State& state) {
   auto g = bench::MakeDataset(bench::FindDataset("Opsahl"));

@@ -30,6 +30,7 @@ void MergeInto(TraversalStats* into, const TraversalStats& s) {
   into->local_stats.a_subsets += s.local_stats.a_subsets;
   into->local_stats.local_solutions += s.local_stats.local_solutions;
   into->local_stats.adjacency_tests += s.local_stats.adjacency_tests;
+  into->local_stats.step3_sweeps += s.local_stats.step3_sweeps;
   into->completed = into->completed && s.completed;
   into->seconds += s.seconds;
   into->max_stack_depth = std::max(into->max_stack_depth, s.max_stack_depth);

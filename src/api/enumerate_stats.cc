@@ -52,7 +52,8 @@ std::string EnumerateStats::ToJson() const {
        << ",\"candidates_pruned\":" << t.candidates_pruned
        << ",\"adjacency_tests\":" << t.local_stats.adjacency_tests
        << ",\"b_subsets\":" << t.local_stats.b_subsets
-       << ",\"a_subsets\":" << t.local_stats.a_subsets << "}";
+       << ",\"a_subsets\":" << t.local_stats.a_subsets
+       << ",\"step3_sweeps\":" << t.local_stats.step3_sweeps << "}";
   }
   if (large_mbp.has_value()) {
     const LargeMbpStats& l = *large_mbp;
@@ -62,7 +63,12 @@ std::string EnumerateStats::ToJson() const {
        << ",\"solutions_found\":" << l.traversal.solutions_found
        << ",\"candidates_generated\":" << l.traversal.candidates_generated
        << ",\"candidates_pruned\":" << l.traversal.candidates_pruned
+       << ",\"local_solutions\":" << l.traversal.local_solutions
+       << ",\"links_pruned_right_shrinking\":"
+       << l.traversal.links_pruned_right_shrinking
+       << ",\"links_pruned_exclusion\":" << l.traversal.links_pruned_exclusion
        << ",\"adjacency_tests\":" << l.traversal.local_stats.adjacency_tests
+       << ",\"step3_sweeps\":" << l.traversal.local_stats.step3_sweeps
        << "}";
   }
   if (imb.has_value()) {

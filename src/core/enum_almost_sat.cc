@@ -17,7 +17,8 @@ class AlmostSatEnumerator {
  public:
   AlmostSatEnumerator(const BipartiteGraph& g, const Biplex& h, Side v_side,
                       VertexId v, KPair k, const EnumAlmostSatOptions& opts,
-                      LocalStep3Callback cb, EnumAlmostSatStats* stats)
+                      LocalStep3Callback cb, bool step3,
+                      EnumAlmostSatStats* stats)
       : g_(g),
         h_(h),
         k_(k),
@@ -32,15 +33,21 @@ class AlmostSatEnumerator {
         b_(h.SideSet(Opposite(v_side))),
         ws_(opts.workspace != nullptr ? *opts.workspace : local_ws_.emplace()),
         rec_(opts.non_adjacency != nullptr ? *opts.non_adjacency
-                                           : ws_.non_adjacency) {}
+                                           : ws_.non_adjacency),
+        step3_(step3) {}
 
   /// Runs the enumeration; false iff the callback stopped it.
   bool Run() {
     if (opts_.non_adjacency == nullptr || !rec_.built()) {
       adj_tests_ += rec_.Build(g_, h_, k_);
     }
-    assert(rec_.NumMembers(v_side_) == a_.size() &&
-           rec_.NumMembers(Opposite(v_side_)) == b_.size());
+    // A stale shared record would be read out of bounds.
+    if (rec_.NumMembers(v_side_) != a_.size() ||
+        rec_.NumMembers(Opposite(v_side_)) != b_.size()) {
+      throw std::logic_error(
+          "EnumAlmostSat: the given non-adjacency record was built for "
+          "another H");
+    }
     Prepare();
     // The Step-3 marks live in the caller's workspace: restore them even
     // when the callback throws.
@@ -53,14 +60,23 @@ class AlmostSatEnumerator {
     return go;
   }
 
+  /// The current local solution, assembled in the workspace on first use.
+  const Biplex& Solution() {
+    if (!loc_ready_) {
+      AssembleLocal(&ws_.loc);
+      loc_ready_ = true;
+    }
+    return ws_.loc;
+  }
+
   // Step 3 on the local solution being reported (see LocalStep3). Every
   // answer walks adjacency lists against per-vertex flag marks
   // (kInH / kInL / kBound), so the walks are branch-free counts.
 
-  bool OppositeAddable(const MaximalExtender& fallback) {
-    MarkLocal();
+  bool OppositeAddable() {
+    const Side opp = Opposite(v_side_);
     std::vector<uint32_t>& ma = ws_.marks[SideIndex(v_side_)];
-    const std::vector<uint32_t>& mb = ws_.marks[SideIndex(Opposite(v_side_))];
+    std::vector<uint32_t>& mb = ws_.marks[SideIndex(opp)];
     // Slackless members of L's anchored side (at budget k_A inside L): a
     // member of A with k_A record entries all in B', or v when |B''| = k_A.
     VertexId x = kInvalidVertex;  // slackless member of min degree
@@ -81,113 +97,176 @@ class AlmostSatEnumerator {
       }
     }
     if (bpp_size_ == ka_) slackless(v_);
-    if (x == kInvalidVertex) {
-      return fallback.AnyAddable(ws_.loc, Opposite(v_side_));
-    }
-    // Check (c) rules out B \ B', and a candidate must neighbour x: test
-    // the outsiders of Γ(x), each by one walk of its own list.
-    const size_t num_slackless = ws_.bound_list.size();
     const size_t l_size = a_.size() - ws_.abar.size() + 1;
-    bool found = false;
-    for (VertexId u : Outsiders(g_.Neighbors(v_side_, x), mb)) {
+    if (x == kInvalidVertex && l_size <= kb_) {
+      // Sweep-only case: every outsider fits its own budget and no member
+      // blocks it, and check (c) put all of B into L.
+      CountSweep();
+      return b_keep_size_ + bpp_size_ < g_.NumOnSide(opp);
+    }
+    // Tests an outsider of H ∪ {v} by one walk of its own list.
+    const size_t num_slackless = ws_.bound_list.size();
+    auto addable = [&](VertexId u) {
       size_t conn = 0;
       size_t conn_slackless = 0;
-      for (VertexId w : g_.Neighbors(Opposite(v_side_), u)) {
+      for (VertexId w : g_.Neighbors(opp, u)) {
         conn += ma[w] & kInL;
         conn_slackless += (ma[w] & kBound) >> 1;
       }
-      if (l_size - conn <= kb_ && conn_slackless == num_slackless) {
-        found = true;
-        break;
+      return l_size - conn <= kb_ && conn_slackless == num_slackless;
+    };
+    // Check (c) rules out B \ B' (with no slackless member |B''| < k_A, so
+    // the check ran), leaving the outsiders of H ∪ {v}. A candidate must
+    // neighbour x; with no slackless member it misses at most k_B members
+    // of L's anchored side, so it neighbours one of any k_B + 1 of them.
+    std::span<const VertexId> candidates;
+    if (x != kInvalidVertex) {
+      candidates = Outsiders(g_.Neighbors(v_side_, x), mb);
+    } else {
+      for (size_t j = 0; j < a_.size(); ++j) {
+        if (!ws_.in_abar[j]) KeepLowestDegree(v_side_, a_[j], kb_ + 1);
       }
+      KeepLowestDegree(v_side_, v_, kb_ + 1);
+      candidates = PigeonholeCandidates(v_side_, &mb, false);
     }
+    const bool found =
+        std::any_of(candidates.begin(), candidates.end(), addable);
     for (VertexId id : ws_.bound_list) ma[id] &= ~kBound;
     ws_.bound_list.clear();
     return found;
   }
 
-  std::span<const VertexId> ExtendAnchored(Biplex* sol,
-                                           const MaximalExtender& fallback) {
-    MarkLocal();
+  std::span<const VertexId> ExtendAnchored(Biplex* out,
+                                           const DynamicBitset* excluded) {
     const Side opp = Opposite(v_side_);
-    const std::vector<uint32_t>& ma = ws_.marks[SideIndex(v_side_)];
+    std::vector<uint32_t>& ma = ws_.marks[SideIndex(v_side_)];
     std::vector<uint32_t>& mb = ws_.marks[SideIndex(opp)];
     std::vector<VertexId>& added = ws_.added;
     added.clear();
-    auto make_tight = [&](size_t i) {
-      mb[b_[i]] |= kBound;
-      ws_.bound_list.push_back(b_[i]);
+    auto make_tight = [&](VertexId u) {
+      mb[u] |= kBound;
+      ws_.bound_list.push_back(u);
     };
     // Tight members of B' (at budget k_B against L's anchored side).
-    VertexId b0 = kInvalidVertex;  // tight member of min degree
     for (uint32_t i : ws_.full_b) {
-      if (!InBPrime(i) || DiscInCandidateA(i) != kb_) continue;
-      make_tight(i);
-      if (b0 == kInvalidVertex || g_.Degree(opp, b_[i]) < g_.Degree(opp, b0)) {
-        b0 = b_[i];
-      }
+      if (InBPrime(i) && DiscInCandidateA(i) == kb_) make_tight(b_[i]);
     }
-    std::vector<VertexId>& anchored = sol->MutableSideSet(v_side_);
-    if (b0 == kInvalidVertex) {
-      fallback.Extend(sol, v_side_ == Side::kLeft, v_side_ == Side::kRight);
-      const std::vector<VertexId>& before = ws_.loc.SideSet(v_side_);
-      std::set_difference(anchored.begin(), anchored.end(), before.begin(),
-                          before.end(), std::back_inserter(added));
-      return added;
-    }
-    // Check (b) keeps Ā ruled out as L grows, and a candidate must
-    // neighbour b0: test the outsiders of Γ(b0) in ascending order, each
-    // by one walk of its own list. An accepted vertex raises the
-    // disconnections of the members of B' it misses.
-    const size_t b_size = b_keep_size_ + bpp_size_;
+    // Accepts w; false when w is excluded (the extension stops there).
+    // Otherwise w raises the disconnections of the members of B' it misses.
     bool disc_ready = false;
-    for (VertexId w : Outsiders(g_.Neighbors(opp, b0), ma)) {
-      size_t conn = 0;
-      size_t conn_tight = 0;
-      for (VertexId u : g_.Neighbors(v_side_, w)) {
-        conn += mb[u] & kInL;
-        conn_tight += (mb[u] & kBound) >> 1;
-      }
-      if (b_size - conn > ka_ || conn_tight != ws_.bound_list.size()) {
-        continue;
-      }
+    auto accept = [&](VertexId w) {
       added.push_back(w);
+      if (excluded != nullptr && excluded->Test(w)) return false;
       if (!disc_ready) {
         disc_ready = true;
-        ws_.disc_b.resize(b_.size());
+        ws_.b_prime.clear();
+        ws_.disc_b.clear();
         for (size_t i = 0; i < b_.size(); ++i) {
           if (InBPrime(i)) {
-            ws_.disc_b[i] = static_cast<uint32_t>(DiscInCandidateA(i));
+            ws_.b_prime.push_back(b_[i]);
+            ws_.disc_b.push_back(static_cast<uint32_t>(DiscInCandidateA(i)));
           }
         }
       }
-      g_.ForEachAdjacency(v_side_, w, b_, [&](size_t i, bool adjacent) {
-        if (!adjacent && InBPrime(i) && ++ws_.disc_b[i] == kb_) make_tight(i);
+      g_.ForEachAdjacency(v_side_, w, ws_.b_prime, [&](size_t p, bool adj) {
+        if (!adj && ++ws_.disc_b[p] == kb_) make_tight(ws_.b_prime[p]);
       });
+      return true;
+    };
+    // Check (b) keeps Ā ruled out as L grows, so the candidates are the
+    // outsiders of H ∪ {v}, taken in ascending order. While no member of
+    // B' is tight, a candidate only has to fit its own budget: it misses
+    // at most k_A members of B', so when |B'| > k_A it neighbours one of
+    // any k_A + 1 of them, and when |B'| <= k_A every outsider fits.
+    const size_t b_size = b_keep_size_ + bpp_size_;
+    bool go = true;
+    if (ws_.bound_list.empty()) {
+      if (b_size <= ka_) {
+        CountSweep();
+        const VertexId n = static_cast<VertexId>(g_.NumOnSide(v_side_));
+        for (VertexId w = 0; w < n && go && ws_.bound_list.empty(); ++w) {
+          if ((ma[w] & kInH) == 0) go = accept(w);
+        }
+      } else {
+        for (size_t i = 0; i < b_.size(); ++i) {
+          if (InBPrime(i)) KeepLowestDegree(opp, b_[i], ka_ + 1);
+        }
+        for (VertexId w : PigeonholeCandidates(opp, &ma, true)) {
+          if (!go || !ws_.bound_list.empty()) break;
+          size_t conn = 0;
+          for (VertexId u : g_.Neighbors(v_side_, w)) conn += mb[u] & kInL;
+          if (b_size - conn <= ka_) go = accept(w);
+        }
+      }
+    }
+    // Once a member is tight a candidate must neighbour every tight member:
+    // test the outsiders of Γ(b0) past the last addition, each by one walk
+    // of its own list.
+    if (go && !ws_.bound_list.empty()) {
+      std::span<const VertexId> candidates =
+          Outsiders(g_.Neighbors(opp, MinDegreeBound(opp)), ma);
+      const VertexId next = added.empty() ? 0 : added.back() + 1;
+      for (auto it = std::lower_bound(candidates.begin(), candidates.end(),
+                                      next);
+           go && it != candidates.end(); ++it) {
+        size_t conn = 0;
+        size_t conn_tight = 0;
+        for (VertexId u : g_.Neighbors(v_side_, *it)) {
+          conn += mb[u] & kInL;
+          conn_tight += (mb[u] & kBound) >> 1;
+        }
+        if (b_size - conn <= ka_ && conn_tight == ws_.bound_list.size()) {
+          go = accept(*it);
+        }
+      }
     }
     for (VertexId id : ws_.bound_list) mb[id] &= ~kBound;
     ws_.bound_list.clear();
-    // Merge the (ascending) added vertices into the anchored side.
+    if (!go) return added;  // stopped: *out is not written
+    // L with the (ascending) added vertices merged into its anchored side.
+    AssembleLocal(out);
+    std::vector<VertexId>& anchored = out->MutableSideSet(v_side_);
     size_t i = anchored.size();
     size_t j = added.size();
     anchored.resize(i + j);
-    for (size_t out = anchored.size(); j > 0;) {
+    for (size_t pos = anchored.size(); j > 0;) {
       if (i > 0 && anchored[i - 1] > added[j - 1]) {
-        anchored[--out] = anchored[--i];
+        anchored[--pos] = anchored[--i];
       } else {
-        anchored[--out] = added[--j];
+        anchored[--pos] = added[--j];
       }
     }
     return added;
   }
 
  private:
+  /// Writes L = (A \ Ā ∪ {v}, B') into `*out`, reusing its capacity.
+  void AssembleLocal(Biplex* out) const {
+    std::vector<VertexId>& anchored = out->MutableSideSet(v_side_);
+    anchored.clear();
+    size_t next_removed = 0;
+    for (size_t j = 0; j < a_.size(); ++j) {
+      if (next_removed < ws_.abar.size() && ws_.abar[next_removed] == j) {
+        ++next_removed;
+        continue;
+      }
+      anchored.push_back(a_[j]);
+    }
+    sorted::Insert(&anchored, v_);
+    std::vector<VertexId>& other = out->MutableSideSet(Opposite(v_side_));
+    other.clear();
+    for (size_t i = 0; i < b_.size(); ++i) {
+      if (InBPrime(i)) other.push_back(b_[i]);
+    }
+  }
+
   // Step-3 vertex marks (ws_.marks): kInH on H's members and v, kInL on
   // the members of the local solution L, kBound on L's members at their
   // budget during one Step-3 query.
   static constexpr uint32_t kInL = 1;
   static constexpr uint32_t kBound = 2;
   static constexpr uint32_t kInH = 4;
+  static constexpr uint32_t kSeen = 8;  // collected by PigeonholeCandidates
 
   /// The vertices of `list` outside H ∪ {v}, collected without a branch
   /// per entry (about half of a dense neighbourhood is inside H).
@@ -203,12 +282,59 @@ class AlmostSatEnumerator {
     return {out.data(), n};
   }
 
-  /// Marks L by vertex id on a local solution's first Step-3 query: H's
+  /// The pigeonhole pool: the `count` members of lowest degree offered so
+  /// far (vertex ids of side `s`), kept in ws_.pool by ascending degree.
+  void KeepLowestDegree(Side s, VertexId id, size_t count) {
+    std::vector<VertexId>& pool = ws_.pool;
+    const size_t d = g_.Degree(s, id);
+    if (pool.size() == count && d >= g_.Degree(s, pool.back())) return;
+    if (pool.size() < count) pool.push_back(id);
+    size_t at = pool.size() - 1;
+    for (; at > 0 && g_.Degree(s, pool[at - 1]) > d; --at) {
+      pool[at] = pool[at - 1];
+    }
+    pool[at] = id;
+  }
+
+  /// The outsiders of the union of the pool members' neighbour lists
+  /// (members of side `s`; `marks` are the other side's), ascending if
+  /// asked; empties the pool.
+  std::span<const VertexId> PigeonholeCandidates(Side s,
+                                                 std::vector<uint32_t>* marks,
+                                                 bool ascending) {
+    std::vector<uint32_t>& m = *marks;
+    std::vector<VertexId>& out = ws_.candidates;
+    out.clear();
+    for (VertexId p : ws_.pool) {
+      for (VertexId x : g_.Neighbors(s, p)) {
+        if ((m[x] & (kInH | kSeen)) != 0) continue;
+        m[x] |= kSeen;
+        out.push_back(x);
+      }
+    }
+    for (VertexId x : out) m[x] &= ~kSeen;
+    ws_.pool.clear();
+    if (ascending) std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  /// The member of ws_.bound_list (side `s`) of lowest degree.
+  VertexId MinDegreeBound(Side s) const {
+    return *std::min_element(ws_.bound_list.begin(), ws_.bound_list.end(),
+                             [&](VertexId x, VertexId y) {
+                               return g_.Degree(s, x) < g_.Degree(s, y);
+                             });
+  }
+
+  /// Counts a query served by the sweep-only rule (see LocalStep3).
+  void CountSweep() {
+    if (stats_ != nullptr) ++stats_->step3_sweeps;
+  }
+
+  /// Marks L by vertex id before a local solution is reported: H's
   /// members, v and the per-call lists of members that can reach their
   /// budget once per call, then L's differences from B_keep and A ∪ {v}.
   void MarkLocal() {
-    if (local_marked_) return;
-    local_marked_ = true;
     std::vector<uint32_t>& ma = ws_.marks[SideIndex(v_side_)];
     std::vector<uint32_t>& mb = ws_.marks[SideIndex(Opposite(v_side_))];
     if (!step3_ready_) {
@@ -461,33 +587,14 @@ class AlmostSatEnumerator {
     return true;
   }
 
-  /// Builds the local-solution Biplex (in the workspace buffer) and
-  /// invokes the callback. The callback must copy if it keeps the value.
+  /// Invokes the callback on the current local solution, marked for
+  /// Step-3 queries when the callback asks them.
   bool EmitCandidate() {
-    Biplex& loc = ws_.loc;
-    loc.left.clear();
-    loc.right.clear();
-    std::vector<VertexId>& anchored = loc.MutableSideSet(v_side_);
-    anchored.reserve(a_.size() - ws_.abar.size() + 1);
-    size_t next_removed = 0;
-    for (size_t j = 0; j < a_.size(); ++j) {
-      if (next_removed < ws_.abar.size() && ws_.abar[next_removed] == j) {
-        ++next_removed;
-        continue;
-      }
-      anchored.push_back(a_[j]);
-    }
-    sorted::Insert(&anchored, v_);
-    std::vector<VertexId>& other = loc.MutableSideSet(Opposite(v_side_));
-    other.reserve(b_keep_size_ + bpp_size_);
-    for (size_t i = 0; i < b_.size(); ++i) {
-      if (InBPrime(i)) other.push_back(b_[i]);
-    }
-    const bool go = cb_(loc, LocalStep3(this));
-    if (local_marked_) {
-      local_marked_ = false;
-      ToggleLocal();
-    }
+    loc_ready_ = false;
+    if (!step3_) return cb_(LocalStep3(this));
+    MarkLocal();
+    const bool go = cb_(LocalStep3(this));
+    ToggleLocal();
     return go;
   }
 
@@ -515,23 +622,24 @@ class AlmostSatEnumerator {
 
   // B''_1 of the current B'' choice, as indices into B1.
   const std::vector<size_t>* bpp1_ = nullptr;
-  // What ws_.marks holds: H and v once step3_ready_, the reported L too
-  // while local_marked_.
+  // Whether the callback asks Step-3 queries, so each reported L is
+  // marked in ws_.marks; H and v are marked there once step3_ready_.
+  const bool step3_;
   bool step3_ready_ = false;
-  bool local_marked_ = false;
+  bool loc_ready_ = false;  // ws_.loc holds the current local solution
   uint32_t deadline_poll_ = 0;
   uint64_t adj_tests_ = 0;
 };
 
 }  // namespace internal
 
-bool LocalStep3::OppositeAddable(const MaximalExtender& fallback) const {
-  return e_->OppositeAddable(fallback);
-}
+const Biplex& LocalStep3::Solution() const { return e_->Solution(); }
+
+bool LocalStep3::OppositeAddable() const { return e_->OppositeAddable(); }
 
 std::span<const VertexId> LocalStep3::ExtendAnchored(
-    Biplex* sol, const MaximalExtender& fallback) const {
-  return e_->ExtendAnchored(sol, fallback);
+    Biplex* out, const DynamicBitset* excluded) const {
+  return e_->ExtendAnchored(out, excluded);
 }
 
 uint64_t BiplexNonAdjacency::Build(const BipartiteGraph& g, const Biplex& h,
@@ -568,23 +676,34 @@ uint64_t BiplexNonAdjacency::Build(const BipartiteGraph& g, const Biplex& h,
   return static_cast<uint64_t>(h.left.size()) * h.right.size();
 }
 
+namespace {
+
+bool RunEnumerator(const BipartiteGraph& g, const Biplex& h, Side v_side,
+                   VertexId v, KPair k, const EnumAlmostSatOptions& opts,
+                   LocalStep3Callback cb, bool step3,
+                   EnumAlmostSatStats* stats) {
+  assert(k.left >= 1 && k.right >= 1);
+  assert(!sorted::Contains(h.SideSet(v_side), v));
+  internal::AlmostSatEnumerator e(g, h, v_side, v, k, opts, cb, step3, stats);
+  return e.Run();
+}
+
+}  // namespace
+
 bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h, Side v_side,
                    VertexId v, KPair k, const EnumAlmostSatOptions& opts,
                    LocalStep3Callback cb, EnumAlmostSatStats* stats) {
-  assert(k.left >= 1 && k.right >= 1);
-  assert(!sorted::Contains(h.SideSet(v_side), v));
-  internal::AlmostSatEnumerator e(g, h, v_side, v, k, opts, cb, stats);
-  return e.Run();
+  return RunEnumerator(g, h, v_side, v, k, opts, cb, true, stats);
 }
 
 bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h, Side v_side,
                    VertexId v, KPair k, const EnumAlmostSatOptions& opts,
                    LocalSolutionCallback cb, EnumAlmostSatStats* stats) {
-  auto solution_only = [cb](const Biplex& loc, const LocalStep3&) {
-    return cb(loc);
+  auto solution_only = [cb](const LocalStep3& step3) {
+    return cb(step3.Solution());
   };
-  return EnumAlmostSat(g, h, v_side, v, k, opts,
-                       LocalStep3Callback(solution_only), stats);
+  return RunEnumerator(g, h, v_side, v, k, opts,
+                       LocalStep3Callback(solution_only), false, stats);
 }
 
 }  // namespace kbiplex

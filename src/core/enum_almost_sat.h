@@ -20,8 +20,15 @@
 // callback: inside a local solution L a member's disconnections are its
 // record entries filtered by the B_keep / B'' / Ā marks, and the
 // local-maximality checks already rule out every vertex of H as an
-// addition, so only outsiders adjacent to one budget-bound member of L are
-// tested, each by one walk of its own adjacency list.
+// addition, so only outsiders of H ∪ {v} are tested, each by one walk of
+// its own adjacency list. The candidates are the outsiders adjacent to one
+// member of L at its budget. With no member at budget, an addition misses
+// at most k members of the side of L that bounds it (L's anchored side for
+// the right-shrinking test, B' for the extension), so the candidates are
+// the outsiders adjacent to that side's k + 1 lowest-degree members
+// (pigeonhole); with that side at k members or fewer, every outsider. The
+// extension stops at its first addition the caller excludes. No query
+// sweeps L's adjacency, and MaximalExtender is not consulted.
 //
 // Refinements, each selectable independently (evaluated in Figure 12):
 //   R1.0: enumerate only B'' ⊆ B_enum with |B''| <= k, keeping B_keep
@@ -101,22 +108,34 @@ class AlmostSatEnumerator;
 /// Step 3 of left-anchored, right-shrinking traversal on the local solution
 /// L = (A \ Ā ∪ {v}, B_keep ∪ B'') being reported, decided from H's
 /// non-adjacency record and the enumerator's marks instead of an adjacency
-/// sweep over L. Each answer equals MaximalExtender's on L; an L with no
-/// member at its budget on the side that bounds the candidates falls back
-/// to the given extender, which must use the same graph and k. Valid only
-/// during the callback it is passed to; not thread-safe (it uses the
-/// workspace's scratch).
+/// sweep over L. Each answer equals MaximalExtender's on L (same graph and
+/// k). Candidates are drawn from one member of L at its budget (it must be
+/// neighboured) or, with none at budget, from the k + 1 lowest-degree
+/// members of the side that bounds them (pigeonhole). Only when that side
+/// has k members or fewer is every outsider a candidate, a case counted in
+/// EnumAlmostSatStats::step3_sweeps: the test then answers from |B'| and
+/// the extension accepts outsiders in ascending order until a member of
+/// B' reaches its budget. Valid only during the callback it is passed to;
+/// not thread-safe (it uses the workspace's scratch).
 class LocalStep3 {
  public:
-  /// Algorithm 2, line 7: true iff some vertex of B's side outside L can
-  /// join L, i.e. fallback.AnyAddable(L, opposite side).
-  bool OppositeAddable(const MaximalExtender& fallback) const;
+  /// L itself, assembled on first use (valid during the callback). The
+  /// queries below do not need it.
+  const Biplex& Solution() const;
 
-  /// Algorithm 2, line 8: grows `*sol`, which must equal L, on the
-  /// anchored side exactly as fallback.Extend would, and returns the
-  /// anchored vertices it added, ascending (valid until the next call).
+  /// Algorithm 2, line 7: true iff some vertex of B's side outside L can
+  /// join L, i.e. MaximalExtender::AnyAddable(L, opposite side).
+  bool OppositeAddable() const;
+
+  /// Algorithm 2, line 8: grows L on the anchored side exactly as
+  /// MaximalExtender::Extend would, writes the result to `*out` and
+  /// returns the anchored vertices it added, ascending (valid until the
+  /// next call). With `excluded` (bits by vertex id of the anchored side),
+  /// the greedy extension stops at the first vertex it accepts that is
+  /// marked: the list then holds the full extension's additions up to and
+  /// including that vertex, and `*out` is not written.
   std::span<const VertexId> ExtendAnchored(
-      Biplex* sol, const MaximalExtender& fallback) const;
+      Biplex* out, const DynamicBitset* excluded = nullptr) const;
 
  private:
   friend class internal::AlmostSatEnumerator;
@@ -145,16 +164,20 @@ struct EnumAlmostSatWorkspace {
   std::vector<size_t> merged;         // merge scratch for abar ∪ req
   std::vector<size_t> comb1, comb2;   // B''_1 / B''_2 combinations (into B1/B2)
   BoundedSubsetEnumerator removal_sets;  // removal sets of one B'' choice
-  Biplex loc;                         // local-solution assembly buffer
+  Biplex loc;                         // LocalStep3::Solution() buffer
   // LocalStep3 scratch. marks[s] holds per-vertex flags of side s (H's
   // members and v, the local solution, members at their budget); it is
-  // set on a call's first Step-3 query and all zero between calls.
+  // set when a call reports its first local solution to a
+  // LocalStep3Callback, and all zero between calls.
   std::vector<uint32_t> marks[2];
   std::vector<uint32_t> full_a;      // A-members with k_A record entries
   std::vector<uint32_t> full_b;      // B-members that can reach k_B in L
   std::vector<VertexId> bound_list;  // members flagged at their budget
-  std::vector<uint32_t> disc_b;      // δ̄(B[i], anchored side of the growth)
-  std::vector<VertexId> outsiders;   // candidates of one Step-3 query
+  std::vector<VertexId> b_prime;     // B' during an anchored extension
+  std::vector<uint32_t> disc_b;      // δ̄(b_prime[p], anchored side)
+  std::vector<VertexId> pool;        // pigeonhole members, ascending degree
+  std::vector<VertexId> outsiders;   // outsiders of one neighbour list
+  std::vector<VertexId> candidates;  // candidates of one Step-3 query
   std::vector<VertexId> added;       // anchored vertices ExtendAnchored added
 };
 
@@ -194,6 +217,9 @@ struct EnumAlmostSatStats {
   /// Adjacency pairs resolved: |A|·|B| per non-adjacency record built,
   /// plus |B| per call for the merge of Γ(v) with B.
   uint64_t adjacency_tests = 0;
+  /// LocalStep3 queries whose bounding side had k members or fewer, so
+  /// that every outsider was a candidate (see LocalStep3).
+  uint64_t step3_sweeps = 0;
 };
 
 /// Receives each local solution; returns false to stop the enumeration.
@@ -203,17 +229,19 @@ struct EnumAlmostSatStats {
 /// non-owning reference: the callable must outlive the EnumAlmostSat call.
 using LocalSolutionCallback = FunctionRef<bool(const Biplex&)>;
 
-/// A local-solution callback that also receives the Step-3 view of the
-/// reported solution (same lifetime rules).
-using LocalStep3Callback = FunctionRef<bool(const Biplex&, const LocalStep3&)>;
+/// A local-solution callback that receives the Step-3 view of the reported
+/// solution instead of the solution itself, so a callback that decides
+/// from the view alone never pays for assembling it (same lifetime rules).
+using LocalStep3Callback = FunctionRef<bool(const LocalStep3&)>;
 
 /// Enumerates all local solutions within the almost-satisfying graph
 /// (A ∪ {v}, B), where `h` is a k-biplex of `g`, A = h's side `v_side`,
 /// B = the opposite side, and `v` (on side `v_side`) is not in A. Every
 /// reported Biplex contains v on side `v_side`. Throws std::logic_error
-/// when `h` is not a k-biplex (see BiplexNonAdjacency::Build). The
-/// LocalStep3Callback form also hands the callback each solution's Step-3
-/// view.
+/// when `h` is not a k-biplex (see BiplexNonAdjacency::Build), or when
+/// `opts.non_adjacency` is a built record of a different H. The
+/// LocalStep3Callback form hands the callback each solution's Step-3 view
+/// instead of the solution.
 ///
 /// Returns false iff the callback requested a stop.
 bool EnumAlmostSat(const BipartiteGraph& g, const Biplex& h, Side v_side,

@@ -601,25 +601,23 @@ class TraversalEngine::Impl {
     // data. Only anchored vertices are ever excluded under left-anchored
     // traversal, and the candidate and local-enumeration filters keep v
     // and A \ Ā clear of the exclusion set, so a local solution meets it
-    // only through a vertex the extension adds.
-    auto handle_anchored = [&](const Biplex& loc,
-                               const LocalStep3& step3) -> bool {
+    // only through a vertex the extension adds; the extension stops at the
+    // first such vertex.
+    const DynamicBitset* excl_anchored =
+        opts_.exclusion ? &f->excl[SideIndex(side)] : nullptr;
+    auto handle_anchored = [&](const LocalStep3& step3) -> bool {
       if (!count_local()) return false;
-      if (step3.OppositeAddable(extender_)) {  // Algorithm 2, line 7
+      if (step3.OppositeAddable()) {  // Algorithm 2, line 7
         ++stats_.links_pruned_right_shrinking;
         return true;
       }
-      Biplex& sol = extend_buf_;
-      sol = loc;  // reuses the buffer's capacity
-      std::span<const VertexId> added = step3.ExtendAnchored(&sol, extender_);
-      if (opts_.exclusion) {
-        const DynamicBitset& excl = f->excl[SideIndex(side)];
-        for (VertexId x : added) {
-          if (excl.Test(x)) {
-            ++stats_.links_pruned_exclusion;
-            return true;
-          }
-        }
+      Biplex& sol = extend_buf_;  // reuses the buffer's capacity
+      std::span<const VertexId> added =
+          step3.ExtendAnchored(&sol, excl_anchored);
+      if (excl_anchored != nullptr && !added.empty() &&
+          excl_anchored->Test(added.back())) {
+        ++stats_.links_pruned_exclusion;
+        return true;
       }
       return AddLink(f, sol);
     };
@@ -629,9 +627,7 @@ class TraversalEngine::Impl {
       lopts.deadline = deadline_;
       lopts.workspace = local_ws_;
       lopts.non_adjacency = &f->non_adjacency;
-      if (opts_.exclusion) {
-        lopts.excluded_anchored = &f->excl[SideIndex(side)];
-      }
+      lopts.excluded_anchored = excl_anchored;
       if (opts_.prune_small && opts_.right_shrinking && theta_other > 0) {
         lopts.min_b_size = theta_other;  // local-solution pruning
       }

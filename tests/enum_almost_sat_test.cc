@@ -359,20 +359,48 @@ TEST(BiplexNonAdjacency, SharedRecordMatchesColdCalls) {
   EXPECT_GT(emitted, calls);
 }
 
-/// Local solutions checked by CheckStep3, by which path decided them.
+/// One Step-3 query's count by the candidate rule that decides it. The
+/// bounding side is L's anchored side for the right-shrinking test and B'
+/// for the extension. With no member at budget, the pigeonhole rule takes
+/// k + 1 of its members when it has more than k (the cut-off), else every
+/// outsider is a candidate (the sweep-only rule).
+struct RuleTally {
+  size_t at_budget = 0;  // a member of L at its budget
+  size_t at_cut = 0;     // none, bounding side of k + 1
+  size_t above = 0;      // none, bounding side above k + 1
+  size_t sweep = 0;      // none, bounding side of k or fewer
+
+  /// Counts one query; true iff it takes the sweep-only rule.
+  bool Count(bool any_at_budget, size_t side_size, size_t k) {
+    if (any_at_budget) {
+      ++at_budget;
+    } else if (side_size == k + 1) {
+      ++at_cut;
+    } else {
+      ++(side_size > k ? above : sweep);
+    }
+    return !any_at_budget && side_size <= k;
+  }
+};
+
+/// Local solutions checked by CheckStep3.
 struct Step3Tally {
-  size_t slackless = 0;     // right-shrinking decided from the record
-  size_t no_slackless = 0;  // ... by the fallback
-  size_t tight = 0;         // extension decided from the record
-  size_t no_tight = 0;      // ... by the fallback
-  size_t grown = 0;         // extensions that added a vertex
+  RuleTally test;                  // right-shrinking tests
+  RuleTally extension;             // anchored extensions
+  size_t grown = 0;                // extensions that added a vertex
+  size_t stopped = 0;              // extensions stopped at an excluded vertex
+  size_t grown_past_excluded = 0;  // ... that had more additions to make
 };
 
 /// Compares both LocalStep3 answers on the local solution `loc` (anchored
-/// side `side`) with MaximalExtender's on a copy.
-void CheckStep3(const BipartiteGraph& g, const MaximalExtender& ext, KPair k,
-                Side side, const Biplex& loc, const LocalStep3& step3,
-                Step3Tally* tally) {
+/// side `side`) with MaximalExtender's on a copy; the extension is also
+/// run against `excluded` (may be null), where it must stop at the first
+/// excluded vertex the full extension adds. Returns the number of queries
+/// asked that took the sweep-only rule.
+size_t CheckStep3(const BipartiteGraph& g, const MaximalExtender& ext,
+                  KPair k, Side side, const Biplex& loc,
+                  const LocalStep3& step3, const DynamicBitset* excluded,
+                  Step3Tally* tally) {
   const Side opp = Opposite(side);
   const size_t ka = static_cast<size_t>(k.ForSide(side));
   const size_t kb = static_cast<size_t>(k.ForSide(opp));
@@ -382,29 +410,56 @@ void CheckStep3(const BipartiteGraph& g, const MaximalExtender& ext, KPair k,
   for (VertexId x : la) any_slackless |= g.DiscCount(side, x, lb) == ka;
   bool any_tight = false;
   for (VertexId u : lb) any_tight |= g.DiscCount(opp, u, la) == kb;
-  ++(any_slackless ? tally->slackless : tally->no_slackless);
-  ++(any_tight ? tally->tight : tally->no_tight);
+  const size_t extensions = excluded != nullptr ? 2 : 1;
+  const size_t sweeps =
+      static_cast<size_t>(tally->test.Count(any_slackless, la.size(), kb)) +
+      extensions * tally->extension.Count(any_tight, lb.size(), ka);
 
-  EXPECT_EQ(step3.OppositeAddable(ext), ext.AnyAddable(loc, opp))
+  EXPECT_EQ(step3.OppositeAddable(), ext.AnyAddable(loc, opp))
       << ToString(loc);
   Biplex want = loc;
   ext.Extend(&want, side == Side::kLeft, side == Side::kRight);
-  Biplex got = loc;
-  std::span<const VertexId> added = step3.ExtendAnchored(&got, ext);
-  EXPECT_EQ(got, want) << ToString(loc);
   std::vector<VertexId> want_added;
   std::set_difference(want.SideSet(side).begin(), want.SideSet(side).end(),
                       la.begin(), la.end(), std::back_inserter(want_added));
-  EXPECT_EQ(std::vector<VertexId>(added.begin(), added.end()), want_added);
   tally->grown += !want_added.empty();
+  Biplex got = loc;
+  std::span<const VertexId> added = step3.ExtendAnchored(&got);
+  EXPECT_EQ(got, want) << ToString(loc);
+  EXPECT_EQ(std::vector<VertexId>(added.begin(), added.end()), want_added);
+  if (excluded == nullptr) return sweeps;
+
+  // The early stop: it happens iff the full extension adds an excluded
+  // vertex, and then its list is the full list up to and including the
+  // first one, with *sol left as L.
+  const auto first_excluded =
+      std::find_if(want_added.begin(), want_added.end(),
+                   [&](VertexId x) { return excluded->Test(x); });
+  got = loc;
+  added = step3.ExtendAnchored(&got, excluded);
+  const std::vector<VertexId> got_added(added.begin(), added.end());
+  if (first_excluded == want_added.end()) {
+    EXPECT_EQ(got, want) << ToString(loc);
+    EXPECT_EQ(got_added, want_added) << ToString(loc);
+    return sweeps;
+  }
+  ++tally->stopped;
+  tally->grown_past_excluded += first_excluded + 1 != want_added.end();
+  EXPECT_EQ(got_added,
+            std::vector<VertexId>(want_added.begin(), first_excluded + 1))
+      << ToString(loc);
+  EXPECT_EQ(got, loc) << ToString(loc);
+  return sweeps;
 }
 
 // Step 3 read from the enumerator's data (LocalStep3) decides exactly as
 // MaximalExtender does on every local solution: the right-shrinking test
-// and the anchored-side extension. The sweep covers asymmetric budgets,
-// both anchored sides, exclusion filters, the Section 5 size prune, and
-// local solutions with and without a member at its budget (the fallback
-// to the extender).
+// and the anchored-side extension, also when the extension stops at an
+// excluded vertex. The sweep covers asymmetric budgets, both anchored
+// sides, exclusion filters, the Section 5 size prune, and local solutions
+// under each candidate rule: a member at its budget, the pigeonhole rule
+// at and above its cut-off, and the sweep-only case, whose count must
+// match the step3_sweeps counter.
 TEST(LocalStep3, MatchesMaximalExtenderOnEveryLocalSolution) {
   const std::vector<testing_support::RandomGraphCase> graphs = {
       {9, 10, 0.55, 41},
@@ -431,34 +486,48 @@ TEST(LocalStep3, MatchesMaximalExtenderOnEveryLocalSolution) {
       for (const Biplex& h : frames) {
         for (Side side : {Side::kLeft, Side::kRight}) {
           const std::vector<VertexId>& a = h.SideSet(side);
-          auto check = [&](const Biplex& loc, const LocalStep3& step3) {
-            CheckStep3(g, ext, k, side, loc, step3, &tally);
-            return true;
-          };
           for (VertexId v = 0; v < g.NumOnSide(side); ++v) {
             if (sorted::Contains(a, v)) continue;
             for (int variant = 0; variant < 4; ++variant) {
+              // The exclusion set marks vertices of the whole anchored
+              // side, as the traversal's does: members of A filter Step 2,
+              // outsiders stop the extension.
               const bool exclusion = (variant & 1) != 0;
-              DynamicBitset excl_a(g.NumOnSide(side));
-              for (VertexId x : a) {
-                if (exclusion && rng.NextBelow(5) == 0) excl_a.Set(x);
+              DynamicBitset excl(g.NumOnSide(side));
+              for (VertexId x = 0; x < g.NumOnSide(side); ++x) {
+                if (exclusion && x != v && rng.NextBelow(5) == 0) excl.Set(x);
               }
+              const DynamicBitset* excluded = exclusion ? &excl : nullptr;
               EnumAlmostSatOptions opts;
               opts.workspace = &ws;
               opts.min_b_size = (variant & 2) != 0 ? 3 : 0;
-              if (exclusion) opts.excluded_anchored = &excl_a;
-              EnumAlmostSat(g, h, side, v, k, opts, check);
+              opts.excluded_anchored = excluded;
+              size_t sweeps = 0;
+              auto check = [&](const LocalStep3& step3) {
+                sweeps += CheckStep3(g, ext, k, side, step3.Solution(), step3,
+                                     excluded, &tally);
+                return true;
+              };
+              EnumAlmostSatStats stats;
+              EnumAlmostSat(g, h, side, v, k, opts, check, &stats);
+              EXPECT_EQ(stats.step3_sweeps, sweeps);
             }
           }
         }
       }
     }
   }
-  EXPECT_GT(tally.slackless, 1000u);
-  EXPECT_GT(tally.no_slackless, 100u);
-  EXPECT_GT(tally.tight, 1000u);
-  EXPECT_GT(tally.no_tight, 100u);
+  EXPECT_GT(tally.test.at_budget, 1000u);
+  EXPECT_GT(tally.test.at_cut, 100u);
+  EXPECT_GT(tally.test.above, 1000u);
+  EXPECT_GT(tally.test.sweep, 50u);
+  EXPECT_GT(tally.extension.at_budget, 1000u);
+  EXPECT_GT(tally.extension.at_cut, 1000u);
+  EXPECT_GT(tally.extension.above, 1000u);
+  EXPECT_GT(tally.extension.sweep, 1000u);
   EXPECT_GT(tally.grown, 100u);
+  EXPECT_GT(tally.stopped, 1000u);
+  EXPECT_GT(tally.grown_past_excluded, 1000u);
 }
 
 // A member with more than k non-neighbours in H is reported by an
@@ -487,6 +556,29 @@ TEST(BiplexNonAdjacency, NonKBiplexThrows) {
   EXPECT_EQ(rec.Build(g, both_heavy, KPair{2, 2}), 4u);
   EXPECT_TRUE(rec.built());
   EXPECT_EQ(rec.Of(Side::kRight, 1).size(), 2u);
+}
+
+// A shared record built for another H is reported by an exception in every
+// build type: reading it would index past its lists.
+TEST(BiplexNonAdjacency, RecordOfAnotherHThrows) {
+  BipartiteGraph g = BipartiteGraph::FromEdges(
+      4, 3, {{0, 0}, {0, 1}, {1, 0}, {1, 1}, {1, 2}, {2, 1}, {3, 2}});
+  const Biplex small{{0}, {0, 1}};
+  const Biplex large{{0, 1}, {0, 1, 2}};
+  auto run = [&](const Biplex& h, BiplexNonAdjacency* rec) {
+    EnumAlmostSatOptions opts;
+    opts.non_adjacency = rec;
+    return EnumAlmostSat(g, h, Side::kLeft, 2, KPair{1, 1}, opts,
+                         [](const Biplex&) { return true; });
+  };
+  BiplexNonAdjacency rec;
+  ASSERT_EQ(rec.Build(g, small, KPair{1, 1}), 2u);
+  EXPECT_THROW(run(large, &rec), std::logic_error);
+  EXPECT_NO_THROW(run(small, &rec));
+  rec.Clear();
+  EXPECT_NO_THROW(run(large, &rec));  // rebuilt for `large`
+  EXPECT_EQ(rec.NumMembers(Side::kRight), 3u);
+  EXPECT_THROW(run(small, &rec), std::logic_error);
 }
 
 }  // namespace
