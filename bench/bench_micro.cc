@@ -121,7 +121,7 @@ void BM_LocalStep3(benchmark::State& state) {
     size_t grown = 0;
     auto step3 = [&](const LocalStep3& s) {
       if (!s.OppositeAddable()) {
-        grown += s.ExtendAnchored(&out, opts.excluded_anchored).size();
+        grown += s.ExtendAnchored(&out).size();
       }
       return true;
     };

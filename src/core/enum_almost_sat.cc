@@ -34,6 +34,10 @@ class AlmostSatEnumerator {
         ws_(opts.workspace != nullptr ? *opts.workspace : local_ws_.emplace()),
         rec_(opts.non_adjacency != nullptr ? *opts.non_adjacency
                                            : ws_.non_adjacency),
+        excluded_(opts.excluded_anchored != nullptr &&
+                          opts.excluded_anchored->size() != 0
+                      ? opts.excluded_anchored
+                      : nullptr),
         step3_(step3) {}
 
   /// Runs the enumeration; false iff the callback stopped it.
@@ -136,8 +140,7 @@ class AlmostSatEnumerator {
     return found;
   }
 
-  std::span<const VertexId> ExtendAnchored(Biplex* out,
-                                           const DynamicBitset* excluded) {
+  std::span<const VertexId> ExtendAnchored(Biplex* out) {
     const Side opp = Opposite(v_side_);
     std::vector<uint32_t>& ma = ws_.marks[SideIndex(v_side_)];
     std::vector<uint32_t>& mb = ws_.marks[SideIndex(opp)];
@@ -156,7 +159,7 @@ class AlmostSatEnumerator {
     bool disc_ready = false;
     auto accept = [&](VertexId w) {
       added.push_back(w);
-      if (excluded != nullptr && excluded->Test(w)) return false;
+      if (excluded_ != nullptr && excluded_->Test(w)) return false;
       if (!disc_ready) {
         disc_ready = true;
         ws_.b_prime.clear();
@@ -174,11 +177,22 @@ class AlmostSatEnumerator {
       return true;
     };
     // Check (b) keeps Ā ruled out as L grows, so the candidates are the
-    // outsiders of H ∪ {v}, taken in ascending order. While no member of
-    // B' is tight, a candidate only has to fit its own budget: it misses
-    // at most k_A members of B', so when |B'| > k_A it neighbours one of
-    // any k_A + 1 of them, and when |B'| <= k_A every outsider fits.
+    // outsiders of H ∪ {v}, taken in ascending order. A candidate fits when
+    // it misses at most k_A members of B' and neighbours every tight one;
+    // each test is one walk of its own list.
     const size_t b_size = b_keep_size_ + bpp_size_;
+    auto fits = [&](VertexId w) {
+      size_t conn = 0;
+      size_t conn_tight = 0;
+      for (VertexId u : g_.Neighbors(v_side_, w)) {
+        conn += mb[u] & kInL;
+        conn_tight += (mb[u] & kBound) >> 1;
+      }
+      return b_size - conn <= ka_ && conn_tight == ws_.bound_list.size();
+    };
+    // While no member of B' is tight, a fitting candidate misses at most
+    // k_A members of B', so when |B'| > k_A it neighbours one of any
+    // k_A + 1 of them, and when |B'| <= k_A every outsider fits.
     bool go = true;
     if (ws_.bound_list.empty()) {
       if (b_size <= ka_) {
@@ -193,15 +207,12 @@ class AlmostSatEnumerator {
         }
         for (VertexId w : PigeonholeCandidates(opp, &ma, true)) {
           if (!go || !ws_.bound_list.empty()) break;
-          size_t conn = 0;
-          for (VertexId u : g_.Neighbors(v_side_, w)) conn += mb[u] & kInL;
-          if (b_size - conn <= ka_) go = accept(w);
+          if (fits(w)) go = accept(w);
         }
       }
     }
-    // Once a member is tight a candidate must neighbour every tight member:
-    // test the outsiders of Γ(b0) past the last addition, each by one walk
-    // of its own list.
+    // Once a member is tight a candidate must neighbour every tight
+    // member: test the outsiders of Γ(b0) past the last addition.
     if (go && !ws_.bound_list.empty()) {
       std::span<const VertexId> candidates =
           Outsiders(g_.Neighbors(opp, MinDegreeBound(opp)), ma);
@@ -209,15 +220,7 @@ class AlmostSatEnumerator {
       for (auto it = std::lower_bound(candidates.begin(), candidates.end(),
                                       next);
            go && it != candidates.end(); ++it) {
-        size_t conn = 0;
-        size_t conn_tight = 0;
-        for (VertexId u : g_.Neighbors(v_side_, *it)) {
-          conn += mb[u] & kInL;
-          conn_tight += (mb[u] & kBound) >> 1;
-        }
-        if (b_size - conn <= ka_ && conn_tight == ws_.bound_list.size()) {
-          go = accept(*it);
-        }
+        if (fits(*it)) go = accept(*it);
       }
     }
     for (VertexId id : ws_.bound_list) mb[id] &= ~kBound;
@@ -436,10 +439,9 @@ class AlmostSatEnumerator {
         ws_.b2.push_back(i);
       }
     });
-    if (opts_.excluded_anchored != nullptr &&
-        opts_.excluded_anchored->size() != 0) {
+    if (excluded_ != nullptr) {
       for (size_t j = 0; j < a_.size(); ++j) {
-        if (opts_.excluded_anchored->Test(a_[j])) {
+        if (excluded_->Test(a_[j])) {
           ws_.excluded_a_idx.push_back(j);
         }
       }
@@ -616,6 +618,8 @@ class AlmostSatEnumerator {
   std::optional<EnumAlmostSatWorkspace> local_ws_;
   EnumAlmostSatWorkspace& ws_;
   BiplexNonAdjacency& rec_;  // H's non-adjacency record
+  // opts_.excluded_anchored, or null when it is null or empty.
+  const DynamicBitset* excluded_;
 
   size_t b_keep_size_ = 0;  // |B_keep|: members of B adjacent to v
   size_t bpp_size_ = 0;     // |B''| of the current B'' choice
@@ -637,9 +641,8 @@ const Biplex& LocalStep3::Solution() const { return e_->Solution(); }
 
 bool LocalStep3::OppositeAddable() const { return e_->OppositeAddable(); }
 
-std::span<const VertexId> LocalStep3::ExtendAnchored(
-    Biplex* out, const DynamicBitset* excluded) const {
-  return e_->ExtendAnchored(out, excluded);
+std::span<const VertexId> LocalStep3::ExtendAnchored(Biplex* out) const {
+  return e_->ExtendAnchored(out);
 }
 
 uint64_t BiplexNonAdjacency::Build(const BipartiteGraph& g, const Biplex& h,

@@ -130,12 +130,11 @@ class LocalStep3 {
   /// Algorithm 2, line 8: grows L on the anchored side exactly as
   /// MaximalExtender::Extend would, writes the result to `*out` and
   /// returns the anchored vertices it added, ascending (valid until the
-  /// next call). With `excluded` (bits by vertex id of the anchored side),
-  /// the greedy extension stops at the first vertex it accepts that is
+  /// next call). With EnumAlmostSatOptions::excluded_anchored set, the
+  /// greedy extension stops at the first vertex it accepts that is
   /// marked: the list then holds the full extension's additions up to and
   /// including that vertex, and `*out` is not written.
-  std::span<const VertexId> ExtendAnchored(
-      Biplex* out, const DynamicBitset* excluded = nullptr) const;
+  std::span<const VertexId> ExtendAnchored(Biplex* out) const;
 
  private:
   friend class internal::AlmostSatEnumerator;
@@ -196,7 +195,9 @@ struct EnumAlmostSatOptions {
   /// vertex id of v's side): local solutions retaining a marked A-member
   /// are never produced. Used by the traversal engine's exclusion strategy
   /// to avoid enumerating local solutions it would discard anyway —
-  /// removal sets are forced to cover every marked member. Not owned.
+  /// removal sets are forced to cover every marked member — and by
+  /// LocalStep3::ExtendAnchored to stop at its first marked addition.
+  /// Not owned.
   const DynamicBitset* excluded_anchored = nullptr;
   /// Optional caller-owned scratch buffers reused across invocations;
   /// when null each call allocates its own. Not owned.

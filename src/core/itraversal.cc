@@ -612,8 +612,7 @@ class TraversalEngine::Impl {
         return true;
       }
       Biplex& sol = extend_buf_;  // reuses the buffer's capacity
-      std::span<const VertexId> added =
-          step3.ExtendAnchored(&sol, excl_anchored);
+      std::span<const VertexId> added = step3.ExtendAnchored(&sol);
       if (excl_anchored != nullptr && !added.empty() &&
           excl_anchored->Test(added.back())) {
         ++stats_.links_pruned_exclusion;
