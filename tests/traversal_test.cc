@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <string>
 #include <set>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "core/brute_force.h"
 #include "core/btraversal.h"
 #include "core/itraversal.h"
+#include "core/large_mbp.h"
 #include "graph/generators.h"
 #include "test_support.h"
 #include "util/random.h"
@@ -359,6 +361,100 @@ TEST(TwoHopCandidates, RightAnchoredTraversalMatchesBruteForce) {
   opts.prune_small = true;
   EXPECT_EQ(CollectWith(g, opts),
             FilterBySize(BruteForceMaximalBiplexes(g, 1), 2, 2));
+}
+
+// ------------------------------------------- pinned threads=1 behaviour --
+
+// FNV-1a over the emission sequence, each solution as |L|, L, |R|, R.
+class EmissionDigest {
+ public:
+  void Add(const Biplex& b) {
+    Word(static_cast<uint32_t>(b.left.size()));
+    for (VertexId v : b.left) Word(v);
+    Word(static_cast<uint32_t>(b.right.size()));
+    for (VertexId u : b.right) Word(u);
+    ++count_;
+  }
+  uint64_t value() const { return h_; }
+  uint64_t count() const { return count_; }
+
+ private:
+  void Word(uint32_t x) {
+    for (int i = 0; i < 4; ++i) {
+      h_ = (h_ ^ ((x >> (8 * i)) & 0xffu)) * 0x100000001b3ull;
+    }
+  }
+  uint64_t h_ = 0xcbf29ce484222325ull;
+  uint64_t count_ = 0;
+};
+
+struct GoldenRun {
+  uint64_t digest;
+  uint64_t emitted;
+  uint64_t solutions_found;
+  uint64_t dedup_hits;
+  uint64_t links;
+};
+
+void ExpectGolden(const char* what, const EmissionDigest& d,
+                  const TraversalStats& s, const GoldenRun& want) {
+  EXPECT_TRUE(s.completed) << what;
+  EXPECT_EQ(d.value(), want.digest) << what;
+  EXPECT_EQ(d.count(), want.emitted) << what;
+  EXPECT_EQ(s.solutions_found, want.solutions_found) << what;
+  EXPECT_EQ(s.dedup_hits, want.dedup_hits) << what;
+  EXPECT_EQ(s.links, want.links) << what;
+}
+
+// The engine is single-threaded, so the emission order and the work
+// counters are functions of the graph and the options alone. These values
+// pin them: a change to the dedup store, the frame hand-off or any
+// traversal layer that alters the order or the counters shows up here.
+TEST(GoldenTraversal, ITraversalEmissionOrderAndCounters) {
+  struct Case {
+    uint64_t seed;
+    size_t nl, nr, m;
+    int k;
+    GoldenRun want;
+  };
+  const Case cases[] = {
+      {3, 14, 14, 60, 1, {0x3a0a2e99eab63b2dull, 940, 940, 1528, 2467}},
+      {3, 14, 14, 60, 2, {0x129788c1917a3e4bull, 11886, 11886, 42957, 54842}},
+      {8, 18, 16, 90, 1, {0xbfa01871054d1e44ull, 2524, 2524, 5045, 7568}},
+      {8, 18, 16, 90, 2,
+       {0x644576ce26b77d1ull, 42629, 42629, 185926, 228554}},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    const BipartiteGraph g = ErdosRenyiBipartite(c.nl, c.nr, c.m, &rng);
+    EmissionDigest d;
+    TraversalEngine engine(g, MakeITraversalOptions(c.k));
+    const TraversalStats s = engine.Run([&](const Biplex& b) {
+      d.Add(b);
+      return true;
+    });
+    const std::string what = "seed=" + std::to_string(c.seed) +
+                             " k=" + std::to_string(c.k);
+    ExpectGolden(what.c_str(), d, s, c.want);
+  }
+}
+
+TEST(GoldenTraversal, LargeMbpEmissionOrderAndCounters) {
+  Rng rng(12);
+  const BipartiteGraph base = ErdosRenyiBipartite(60, 60, 420, &rng);
+  const BipartiteGraph g = PlantDenseBlock(base, 8, 8, 0.9, &rng);
+  LargeMbpOptions opts;
+  opts.k = KPair::Uniform(1);
+  opts.theta_left = 3;
+  opts.theta_right = 3;
+  EmissionDigest d;
+  const LargeMbpStats s = LargeMbpEngine(g, opts).Run([&](const Biplex& b) {
+    d.Add(b);
+    return true;
+  });
+  EXPECT_TRUE(s.completed);
+  ExpectGolden("large-mbp", d, s.traversal,
+               {0x398d9dfcee64957dull, 14673, 40319, 28821, 69139});
 }
 
 }  // namespace
