@@ -5,13 +5,6 @@
 namespace kbiplex {
 namespace {
 
-void AppendBigEndian(std::string* out, uint32_t x) {
-  out->push_back(static_cast<char>((x >> 24) & 0xff));
-  out->push_back(static_cast<char>((x >> 16) & 0xff));
-  out->push_back(static_cast<char>((x >> 8) & 0xff));
-  out->push_back(static_cast<char>(x & 0xff));
-}
-
 // MaximalExtender scratch encodings: member flag in the connection
 // counters of the side being grown or tested (counts stay below it), and
 // the marks on opposite members in AnyAddable.
@@ -20,15 +13,6 @@ constexpr uint32_t kSlack = 1;
 constexpr uint32_t kSlackless = 2;
 
 }  // namespace
-
-std::string EncodeBiplexKey(const Biplex& b) {
-  std::string key;
-  key.reserve(4 * (1 + b.left.size() + b.right.size()));
-  AppendBigEndian(&key, static_cast<uint32_t>(b.left.size()));
-  for (VertexId v : b.left) AppendBigEndian(&key, v);
-  for (VertexId u : b.right) AppendBigEndian(&key, u);
-  return key;
-}
 
 bool IsKBiplex(const BipartiteGraph& g, const Biplex& b, KPair k) {
   for (VertexId v : b.left) {

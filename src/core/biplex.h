@@ -1,10 +1,13 @@
-// The k-biplex vocabulary: vertex-pair subgraphs, k-biplex / maximality
-// predicates, canonical key encoding, and deterministic extension of a
+// The k-biplex vocabulary: vertex-pair subgraphs, an exact set of them,
+// k-biplex / maximality predicates, and deterministic extension of a
 // k-biplex to a maximal one ("Step 3" of the paper's ThreeStep procedure).
 #ifndef KBIPLEX_CORE_BIPLEX_H_
 #define KBIPLEX_CORE_BIPLEX_H_
 
-#include <string>
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -58,10 +61,113 @@ struct Biplex {
   }
 };
 
-/// Serializes a biplex into a canonical byte key: 4-byte big-endian |L|
-/// followed by big-endian ids of L then R. The |L| prefix makes the key
-/// injective: {1}|{2} and {1,2}|{} encode differently.
-std::string EncodeBiplexKey(const Biplex& b);
+/// An exact set of biplexes: the traversal's store of the solutions it has
+/// reached (Algorithm 1, line 1). Every member is stored once, back to
+/// back in one arena as |L|, |R|, L..., R..., and is named by its arena
+/// offset. Lookups go through an open-addressing table of (hash, offset)
+/// slots, grown x2 at half load; a hash match is confirmed by comparing
+/// the members in place, so a hash alone never decides membership.
+class BiplexSet {
+ public:
+  /// Insert's result for a biplex already in the set.
+  static constexpr size_t kKnown = ~size_t{0};
+
+  /// Adds `b` (both sides sorted) unless it is already a member. Returns
+  /// the offset of the stored copy, or kKnown, allocating nothing, when
+  /// `b` was already there. Offsets stay valid until Clear().
+  size_t Insert(const Biplex& b) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    const uint64_t hash = Hash(b.left, b.right);
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.offset == kEmpty) {
+        slot = {hash, arena_.size()};
+        ++size_;
+        arena_.push_back(static_cast<VertexId>(b.left.size()));
+        arena_.push_back(static_cast<VertexId>(b.right.size()));
+        arena_.insert(arena_.end(), b.left.begin(), b.left.end());
+        arena_.insert(arena_.end(), b.right.begin(), b.right.end());
+        return slot.offset;
+      }
+      if (slot.hash == hash &&
+          std::ranges::equal(Left(slot.offset), b.left) &&
+          std::ranges::equal(Right(slot.offset), b.right)) {
+        return kKnown;
+      }
+    }
+  }
+
+  /// Copies the member stored at `offset` into `b`, reusing its buffers.
+  void Load(size_t offset, Biplex* b) const {
+    const std::span<const VertexId> left = Left(offset);
+    const std::span<const VertexId> right = Right(offset);
+    b->left.assign(left.begin(), left.end());
+    b->right.assign(right.begin(), right.end());
+  }
+
+  size_t size() const { return size_; }
+
+  /// Empties the set, keeping the arena's and the table's capacity.
+  void Clear() {
+    arena_.clear();
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+  }
+
+ private:
+  static constexpr size_t kEmpty = ~size_t{0};
+  struct Slot {
+    uint64_t hash = 0;
+    size_t offset = kEmpty;
+  };
+
+  // The sides of the member stored at `offset`: views into the arena,
+  // valid until the next Insert or Clear.
+  std::span<const VertexId> Left(size_t offset) const {
+    return {arena_.data() + offset + 2, arena_[offset]};
+  }
+  std::span<const VertexId> Right(size_t offset) const {
+    return {arena_.data() + offset + 2 + arena_[offset],
+            arena_[offset + 1]};
+  }
+
+  // Hashes the two sorted member lists with both sizes mixed in, so a
+  // vertex moved across the split ({1}|{2} vs {1,2}|{}) changes the hash;
+  // the murmur3 finalizer spreads every input bit into the low bits the
+  // table indexes by.
+  static uint64_t Hash(std::span<const VertexId> left,
+                       std::span<const VertexId> right) {
+    constexpr uint64_t kMul = 0x9e3779b97f4a7c15ull;
+    uint64_t h = ((uint64_t{left.size()} << 32) | right.size()) * kMul;
+    for (VertexId v : left) h = (h ^ v) * kMul;
+    for (VertexId u : right) h = (h ^ u) * kMul;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return h;
+  }
+
+  // Doubles the table (16 slots at first) and re-places every slot by its
+  // stored hash; the arena does not move.
+  void Grow() {
+    const std::vector<Slot> old = std::exchange(
+        slots_, std::vector<Slot>(std::max<size_t>(16, 2 * slots_.size())));
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.offset == kEmpty) continue;
+      size_t i = slot.hash & mask;
+      while (slots_[i].offset != kEmpty) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<VertexId> arena_;
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  size_t size_ = 0;
+};
 
 /// True iff G[L ∪ R] is a k-biplex (Definition 2.1): every left member
 /// disconnects at most k.left members of R and every right member at most

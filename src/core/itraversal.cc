@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "baselines/inflation_enum.h"
@@ -106,18 +104,18 @@ class TraversalEngine::Impl {
   TraversalStats Run(const SolutionCallback& cb) {
     stats_ = TraversalStats();
     cb_ = &cb;
-    seen_.clear();
+    seen_.Clear();
     stop_ = false;
     WallTimer timer;
     Deadline deadline(opts_.time_budget_seconds);
     deadline_ = &deadline;
 
-    Biplex h0 = InitialSolution();
+    const Biplex h0 = InitialSolution();
     if (gen_mode_ != GenMode::kScan) InitConnCounts(h0);
-    seen_.insert(EncodeBiplexKey(h0));
+    const size_t h0_offset = seen_.Insert(h0);
     ++stats_.solutions_found;
     std::vector<std::unique_ptr<Frame>> stack;
-    stack.push_back(MakeFrame(std::move(h0), 0, nullptr));
+    stack.push_back(MakeFrame(h0_offset, 0, nullptr));
     stats_.max_stack_depth = 1;
 
     size_t iter = 0;
@@ -135,9 +133,8 @@ class TraversalEngine::Impl {
       }
       if (f.batch_pos < f.batch.size()) {
         // Recurse into the next newly discovered solution.
-        Biplex child = std::move(f.batch[f.batch_pos++]);
-        const size_t depth = f.depth;
-        stack.push_back(MakeFrame(std::move(child), depth + 1, &f));
+        const size_t child = f.batch[f.batch_pos++];
+        stack.push_back(MakeFrame(child, f.depth + 1, &f));
         stats_.max_stack_depth =
             std::max(stats_.max_stack_depth, stack.size());
         continue;
@@ -168,7 +165,7 @@ class TraversalEngine::Impl {
     DynamicBitset excl[2];  // exclusion sets, [0]=left ids, [1]=right ids
     VertexId next_cand[2] = {0, 0};
     int side_phase = 0;  // index into the candidate-side sequence
-    std::vector<Biplex> batch;
+    std::vector<size_t> batch;  // seen_ offsets of the new solutions
     size_t batch_pos = 0;
     bool batch_active = false;
     Side batch_side = Side::kLeft;
@@ -235,11 +232,13 @@ class TraversalEngine::Impl {
     ArenaPool<Frame> pool;
   };
 
-  std::unique_ptr<Frame> MakeFrame(Biplex h, size_t depth,
+  /// A frame for the solution stored at `offset` in seen_; its H is
+  /// copied into the (recycled) frame's buffers.
+  std::unique_ptr<Frame> MakeFrame(size_t offset, size_t depth,
                                    const Frame* parent) {
     std::unique_ptr<Frame> fp = frame_pool_->Acquire();
     Frame& f = *fp;
-    f.h = std::move(h);
+    seen_.Load(offset, &f.h);
     f.depth = depth;
     f.parent = parent;
     if (opts_.exclusion) {
@@ -657,9 +656,10 @@ class TraversalEngine::Impl {
       stats_.completed = false;
       return false;
     }
-    if (seen_.insert(EncodeBiplexKey(sol)).second) {
+    const size_t offset = seen_.Insert(sol);
+    if (offset != BiplexSet::kKnown) {
       ++stats_.solutions_found;
-      f->batch.push_back(sol);
+      f->batch.push_back(offset);
     } else {
       ++stats_.dedup_hits;
     }
@@ -698,14 +698,14 @@ class TraversalEngine::Impl {
   const BipartiteGraph& g_;
   const TraversalOptions opts_;
   MaximalExtender extender_;
-  // Step-3 output buffer, reused across local solutions; copied into the
-  // frame's batch only when the solution is new.
+  // Step-3 output buffer, reused across local solutions; copied into
+  // seen_ only when the solution is new.
   Biplex extend_buf_;
   TraversalStats stats_;
   const SolutionCallback* cb_ = nullptr;
-  // Keys of every solution reached this run (Algorithm 1, line 1): a
-  // link recurses only on first discovery.
-  std::unordered_set<std::string> seen_;
+  // Every solution reached this run (Algorithm 1, line 1): a link
+  // recurses only on first discovery, into a frame loaded from here.
+  BiplexSet seen_;
   const Deadline* deadline_ = nullptr;
   bool stop_ = false;
 

@@ -1,4 +1,7 @@
 #include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,18 +19,95 @@ using testing_support::MakeRandomGraph;
 using testing_support::RandomGraphCase;
 using testing_support::ToString;
 
-TEST(BiplexKey, DistinctBiplexesDistinctKeys) {
-  // (|L|, ids...) framing distinguishes {1}|{2} from {1,2}|{}, and the
-  // side a vertex sits on is part of the key.
+TEST(BiplexSet, SplitBoundaryCasesAreDistinct) {
+  // Both side sizes are stored and hashed, so a vertex moved across the
+  // split ({1}|{2} vs {1,2}|{}) or to the other side is a new member.
   const std::vector<Biplex> cases = {
       {{}, {}}, {{3}, {}}, {{}, {3}}, {{1}, {2}}, {{1, 2}, {}}, {{}, {1, 2}},
   };
+  BiplexSet set;
+  std::vector<size_t> offsets;
+  for (const Biplex& b : cases) {
+    offsets.push_back(set.Insert(b));
+    EXPECT_NE(offsets.back(), BiplexSet::kKnown) << ToString(b);
+  }
+  EXPECT_EQ(set.size(), cases.size());
   for (size_t i = 0; i < cases.size(); ++i) {
-    for (size_t j = i + 1; j < cases.size(); ++j) {
-      EXPECT_NE(EncodeBiplexKey(cases[i]), EncodeBiplexKey(cases[j]))
-          << ToString(cases[i]) << " vs " << ToString(cases[j]);
+    EXPECT_EQ(set.Insert(cases[i]), BiplexSet::kKnown) << ToString(cases[i]);
+    Biplex loaded;
+    set.Load(offsets[i], &loaded);
+    EXPECT_EQ(loaded, cases[i]);
+  }
+  EXPECT_EQ(set.size(), cases.size());
+}
+
+// A random biplex over ids [0, 6) with at most three members per side:
+// 42 x 42 shapes, so a few thousand draws mix new members and repeats.
+Biplex RandomSmallBiplex(Rng* rng) {
+  Biplex b;
+  for (Side s : {Side::kLeft, Side::kRight}) {
+    std::vector<VertexId>& side = b.MutableSideSet(s);
+    const size_t n = rng->NextBelow(4);
+    while (side.size() < n) {
+      const VertexId v = static_cast<VertexId>(rng->NextBelow(6));
+      if (!sorted::Contains(side, v)) sorted::Insert(&side, v);
     }
   }
+  return b;
+}
+
+TEST(BiplexSet, RandomInsertsMatchReferenceSet) {
+  // The 1281 distinct members grow the table from 16 slots to 4096.
+  Rng rng(17);
+  BiplexSet set;
+  std::set<Biplex> reference;
+  std::vector<std::pair<size_t, Biplex>> stored;
+  for (int i = 0; i < 5000; ++i) {
+    const Biplex b = RandomSmallBiplex(&rng);
+    const size_t offset = set.Insert(b);
+    const bool fresh = reference.insert(b).second;
+    ASSERT_EQ(offset != BiplexSet::kKnown, fresh) << "draw " << i << " "
+                                                  << ToString(b);
+    if (fresh) stored.emplace_back(offset, b);
+    ASSERT_EQ(set.size(), reference.size());
+  }
+  EXPECT_GT(reference.size(), 64u);  // 16 slots grew at least four times
+  for (const auto& [offset, b] : stored) {
+    Biplex loaded;
+    set.Load(offset, &loaded);
+    EXPECT_EQ(loaded, b);
+  }
+}
+
+TEST(BiplexSet, OffsetsOutliveGrowth) {
+  BiplexSet set;
+  const Biplex first{{2, 5, 9}, {1, 4}};
+  const size_t offset = set.Insert(first);
+  ASSERT_NE(offset, BiplexSet::kKnown);
+  // 200 more members grow the table (and the arena) several times.
+  for (VertexId v = 0; v < 200; ++v) {
+    ASSERT_NE(set.Insert(Biplex{{v}, {v + 1, v + 7}}), BiplexSet::kKnown);
+  }
+  Biplex loaded{{99}, {98}};  // stale contents are replaced
+  set.Load(offset, &loaded);
+  EXPECT_EQ(loaded, first);
+  EXPECT_EQ(set.Insert(first), BiplexSet::kKnown);
+}
+
+TEST(BiplexSet, ClearThenReuseStartsEmpty) {
+  BiplexSet set;
+  for (VertexId v = 0; v < 50; ++v) set.Insert(Biplex{{v}, {}});
+  set.Clear();
+  EXPECT_EQ(set.size(), 0u);
+  const Biplex b{{3}, {}};
+  const size_t offset = set.Insert(b);
+  ASSERT_NE(offset, BiplexSet::kKnown);  // not remembered across Clear
+  EXPECT_EQ(offset, 0u);
+  EXPECT_EQ(set.size(), 1u);
+  Biplex loaded;
+  set.Load(offset, &loaded);
+  EXPECT_EQ(loaded, b);
+  EXPECT_EQ(set.Insert(b), BiplexSet::kKnown);
 }
 
 TEST(IsKBiplex, Definition) {

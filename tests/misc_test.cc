@@ -1,11 +1,9 @@
 // Remaining coverage: edge-case I/O, budget handling of the baselines,
-// quasi-biclique corner cases, inflation guards, and encode stability of
-// the solution key format.
+// quasi-biclique corner cases and inflation guards.
 #include <gtest/gtest.h>
 
 #include "analysis/quasi_biclique.h"
 #include "baselines/kplex_enum.h"
-#include "core/biplex.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "graph/inflation.h"
@@ -52,20 +50,6 @@ TEST(GraphIoEdgeCases, ToStringParsesBack) {
   EXPECT_EQ(r.graph->Edges(), g.Edges());
   EXPECT_EQ(r.graph->NumLeft(), g.NumLeft());
   EXPECT_EQ(r.graph->NumRight(), g.NumRight());
-}
-
-// ----------------------------------------------------------- key format ---
-
-TEST(BiplexKey, LengthIsFourBytesPerField) {
-  Biplex b{{1, 2}, {3}};
-  EXPECT_EQ(EncodeBiplexKey(b).size(), 4u * (1 + 2 + 1));
-}
-
-TEST(BiplexKey, LexOrderMatchesNumericOnEqualShape) {
-  // Big-endian ids: numeric order of the first differing id decides.
-  Biplex a{{1}, {2}};
-  Biplex b{{1}, {300}};
-  EXPECT_LT(EncodeBiplexKey(a), EncodeBiplexKey(b));
 }
 
 // --------------------------------------------------------------- k-plex ----

@@ -125,11 +125,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineAgreementSweep,
 TEST(Traversal, EverySolutionIsMaximalAndUnique) {
   Rng rng(42);
   auto g = ErdosRenyiBipartite(10, 10, 35, &rng);
-  std::set<std::string> seen;
+  std::set<Biplex> seen;
   TraversalEngine engine(g, MakeITraversalOptions(1));
   engine.Run([&](const Biplex& b) {
     EXPECT_TRUE(IsMaximalKBiplex(g, b, 1)) << ToString(b);
-    EXPECT_TRUE(seen.insert(EncodeBiplexKey(b)).second)
+    EXPECT_TRUE(seen.insert(b).second)
         << "duplicate " << ToString(b);
     return true;
   });
